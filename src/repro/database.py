@@ -68,7 +68,6 @@ from repro.query.planner import (
     candidate_roots,
     candidate_roots_first_match,
     extract_condition_groups,
-    extract_conditions,
 )
 from repro.render import render_table
 from repro.storage.buffer import BufferManager
@@ -1291,9 +1290,11 @@ class Database:
         return self._explain_plan(statement)
 
     def _explain_plan(self, statement: ast.Statement) -> str:
-        if not isinstance(statement, ast.Query):
-            return f"statement: {type(statement).__name__}"
-        return "\n".join(self._plan_lines(statement))
+        if isinstance(statement, ast.Query):
+            return "\n".join(self._plan_lines(statement))
+        if isinstance(statement, _DML_STATEMENTS):
+            return "\n".join(self._dml_plan_lines(statement))
+        return f"statement: {type(statement).__name__}"
 
     def _plan_lines(self, statement: ast.Query) -> list[str]:
         """Predicted plan: one loop line plus access-path line(s) per
@@ -1305,17 +1306,46 @@ class Database:
         for index, range_ in enumerate(statement.ranges):
             source = range_.source.describe()
             lines.append(f"  loop {index + 1}: {range_.var} IN {source}")
-            lines.extend(self._access_lines(statement, range_, first=index == 0))
+            lines.extend(self._query_access_lines(statement, index))
         out_kind = "list" if schema.ordered else "relation"
         lines.append(
             f"  result: {out_kind} ({', '.join(schema.attribute_names)})"
         )
         return lines
 
+    def _dml_plan_lines(self, statement: ast.Statement) -> list[str]:
+        """Predicted plan of a root or partial DML statement: every stored
+        range is planned the way the statement selects its rows
+        (:meth:`_dml_tids`)."""
+        lines = [f"statement: {type(statement).__name__}"]
+        for index, range_ in enumerate(_dml_ranges(statement)):
+            source = range_.source.describe()
+            lines.append(f"  loop {index + 1}: {range_.var} IN {source}")
+            lines.extend(
+                self._access_lines(range_, statement.where, planned=True)
+            )
+        return lines
+
+    def _query_access_lines(self, statement: ast.Query, index: int) -> list[str]:
+        range_ = statement.ranges[index]
+        return self._access_lines(
+            range_,
+            statement.where,
+            planned=index == 0,
+            order_by=self._order_pushdown_path(statement, range_.var),
+        )
+
     def _access_lines(
-        self, statement: ast.Query, range_: ast.Range, first: bool
+        self,
+        range_: ast.Range,
+        where: Optional[ast.Predicate],
+        planned: bool,
+        order_by: Optional[tuple[str, ...]] = None,
     ) -> list[str]:
-        """The access path chosen for one range variable."""
+        """The access path chosen for one range variable.  *planned*
+        ranges (a query's first range, every stored range of a DML
+        statement) go through :meth:`_plan_roots`; a query's inner table
+        ranges may run as index nested loops instead."""
         source = range_.source
         if source.table is None:
             assert source.path is not None
@@ -1331,31 +1361,16 @@ class Database:
                 "at read time)"
             ]
         entry = self.catalog.table(source.table)
-        if first:
-            conditions = extract_conditions(statement, range_.var)
-            if conditions is None:
-                return ["  access: full scan (WHERE not index-coverable)"]
-            if not conditions:
-                return ["  access: full scan (no indexable conditions)"]
-            if self.planner_mode == "first-match":
-                roots, report = candidate_roots_first_match(entry, conditions)
-                candidates = len(roots) if roots is not None else 0
-            else:
-                roots, report = candidate_roots(
-                    entry,
-                    conditions,
-                    order_by=self._order_pushdown_path(statement, range_.var),
-                )
-                # drain the candidate stream: EXPLAIN reports the count
-                candidates = sum(1 for _ in roots) if roots is not None else 0
-            if roots is None:
-                return [
-                    "  access: full scan (no matching index; "
-                    f"{len(conditions)} indexable condition(s) found)"
-                ]
+        if planned:
+            candidates, note = self._candidate_set(
+                entry, where, range_.var, order_by
+            )
+            if candidates is None:
+                return [f"  access: full scan ({note})"]
+            report = self.last_plan
             lines = [
                 f"  access: index ({', '.join(report.used_indexes)}) -> "
-                f"{candidates} candidate object(s)"
+                f"{len(candidates)} candidate object(s)"
             ]
             if report.estimated_candidates is not None:
                 lines.append(
@@ -1389,7 +1404,7 @@ class Database:
             return lines
         # inner table range: index nested loops when an equality conjunct
         # binds one of its top-level attributes through an index
-        index_name = self._join_index_name(entry, statement.where, range_.var)
+        index_name = self._join_index_name(entry, where, range_.var)
         if index_name is not None:
             return [f"  access: index nested loops ({index_name})"]
         return ["  access: full scan (re-scanned per outer binding)"]
@@ -1449,11 +1464,15 @@ class Database:
         # Predicted access paths are computed *before* the metered run so
         # planner probes don't pollute the reported deltas.
         access_per_range: list[list[str]] = []
+        predicted = [f"statement: {type(target).__name__}"]
         if is_query:
             access_per_range = [
-                self._access_lines(target, range_, first=index == 0)
-                for index, range_ in enumerate(target.ranges)
+                self._query_access_lines(target, index)
+                for index in range(len(target.ranges))
             ]
+        elif isinstance(target, _DML_STATEMENTS):
+            predicted = self._dml_plan_lines(target)
+        self.last_plan = None  # only the metered run may publish a plan
         with obs.profiled():
             before_totals = METRICS.totals()
             before_buffer = self.io_stats.snapshot()
@@ -1500,30 +1519,29 @@ class Database:
                     f"  settled conjuncts: {exec_report.settled_conjuncts}"
                     f"  columnar chunks: {exec_report.columnar_chunks}"
                 )
-            plan = self.last_plan
-            if plan is not None and plan.used_any:
-                lines.append("planner (analyzed):")
-                lines.append(
-                    "  indexes (selectivity order): "
-                    + ", ".join(plan.used_indexes)
-                )
-                estimated = (
-                    f"{plan.estimated_candidates:g}"
-                    if plan.estimated_candidates is not None
-                    else "?"
-                )
-                lines.append(
-                    f"  estimated candidates: {estimated}"
-                    f"  actual candidates: {plan.actual_candidates}"
-                )
-                lines.append(
-                    f"  prefix joins: {plan.prefix_joins}"
-                    f"  early exit: {'yes' if plan.early_exit else 'no'}"
-                    f"  sort elided: {'yes' if plan.sort_elided else 'no'}"
-                )
         else:
-            lines.append(f"statement: {type(target).__name__}")
+            lines.extend(predicted)
             lines.append(f"  result: {result!r}")
+        plan = self.last_plan
+        if plan is not None and plan.used_any:
+            lines.append("planner (analyzed):")
+            lines.append(
+                "  indexes (selectivity order): " + ", ".join(plan.used_indexes)
+            )
+            estimated = (
+                f"{plan.estimated_candidates:g}"
+                if plan.estimated_candidates is not None
+                else "?"
+            )
+            lines.append(
+                f"  estimated candidates: {estimated}"
+                f"  actual candidates: {plan.actual_candidates}"
+            )
+            lines.append(
+                f"  prefix joins: {plan.prefix_joins}"
+                f"  early exit: {'yes' if plan.early_exit else 'no'}"
+                f"  sort elided: {'yes' if plan.sort_elided else 'no'}"
+            )
         lines.append("timings:")
         lines.append(f"  parse: {parse_ms:.3f} ms")
         for phase in ("bind", "execute"):
@@ -1606,22 +1624,55 @@ class Database:
     def _match_tuples(
         self, entry: TableEntry, var: str, where: Optional[ast.Predicate]
     ) -> list[tuple[TID, TupleValue]]:
-        # DML row selection runs against the session's snapshot (when one
-        # exists): a pinned transaction updates the rows *it sees*, and the
-        # write path's first-committer-wins check turns any tuple that was
-        # meanwhile changed or deleted into a SerializationError instead of
-        # silently matching zero rows
-        snapshot = self._read_snapshot(entry)
-        if snapshot is not None:
-            tids = list(_mvcc_read.snapshot_roots(entry, snapshot))
-        else:
-            tids = list(entry.tids)
         out = []
-        for tid in tids:
+        for tid in self._dml_tids(entry, where, var):
             row = self._fetch(entry, tid)
             if where is None or self._executor._eval_predicate(where, {var: row}):
                 out.append((tid, row))
         return out
+
+    def _dml_tids(
+        self, entry: TableEntry, where: Optional[ast.Predicate], var: str
+    ) -> list[TID]:
+        """The rows a DML statement ranging *var* over *entry* tests
+        against *where* (root UPDATE/DELETE and every stored range of a
+        partial DML statement).
+
+        These are the rows the statement may see — the session snapshot's
+        under MVCC, so a pinned transaction writes the rows *it sees* and
+        first-committer-wins turns a row changed or deleted meanwhile into
+        a SerializationError instead of a silent zero-row write; otherwise
+        the current TID list — narrowed to the planner's candidates.  The
+        visible list's order is kept, so multi-row DML applies in the same
+        order whichever access path ran.  Candidates are a superset: the
+        caller re-evaluates the full WHERE on every row it fetches."""
+        snapshot = self._read_snapshot(entry)
+        if snapshot is not None:
+            visible = list(_mvcc_read.snapshot_roots(entry, snapshot))
+        else:
+            visible = list(entry.tids)
+        candidates, _note = self._candidate_set(entry, where, var)
+        if candidates is None:
+            return visible
+        return [tid for tid in visible if tid in candidates]
+
+    def _candidate_set(
+        self,
+        entry: TableEntry,
+        where: Optional[ast.Predicate],
+        var: str,
+        order_by: Optional[tuple[str, ...]] = None,
+    ) -> tuple[Optional[set[TID]], str]:
+        """:meth:`_plan_roots`, drained into a set (DML and EXPLAIN)."""
+        try:
+            roots, note = self._plan_roots(entry, where, var, order_by=order_by)
+            return (None if roots is None else set(roots)), note
+        except TypeError:
+            # DML is not bound, so a literal may have another type than
+            # the index keys and the B+-tree cannot order it against them;
+            # a scan evaluates the WHERE exactly as without the index
+            self.last_plan = None
+            return None, "a literal is not comparable with the index keys"
 
     # ======================================================================
     # TableProvider protocol (executor + binder)
@@ -1662,28 +1713,64 @@ class Database:
             self.last_plan = None
             return iterate_sys_view(self, name)
         entry = self.catalog.table(name)
-        self.last_plan = None
+        roots, _note = self._plan_roots(
+            entry, query.where, var, asof, self._order_pushdown_path(query, var)
+        )
         lazy = self.exec_mode == "compiled"
-        if self.use_access_paths and asof is None and entry.indexes:
-            with TRACER.span("plan", table=name, var=var) as span:
-                groups = extract_condition_groups(query, var)
+        if roots is not None:
+            return self._stream_candidates(entry, name, roots, lazy)
+        return self.iterate_table(name, asof, lazy=lazy)
+
+    def _plan_roots(
+        self,
+        entry: TableEntry,
+        where: Optional[ast.Predicate],
+        var: str,
+        asof: Optional[datetime.date] = None,
+        order_by: Optional[tuple[str, ...]] = None,
+    ) -> tuple[Optional[Iterable[TID]], str]:
+        """The access-path decision for one stored-table range — the only
+        one: SELECT, root UPDATE/DELETE, partial DML and EXPLAIN all plan
+        through it.
+
+        Returns ``(roots, note)``.  *roots* streams the candidate root
+        TIDs — a superset of the rows satisfying *where* — or is ``None``
+        for a full scan, which *note* explains.  ``last_plan`` is published
+        (the :class:`PlanReport`, or ``None`` on a scan) and
+        ``query.index_plans`` / ``query.scan_plans`` counted before the
+        caller pulls the first candidate."""
+        self.last_plan = None
+        roots = report = None
+        if not self.use_access_paths:
+            note = "access paths disabled"
+        elif asof is not None:
+            note = "ASOF source"
+        elif not entry.indexes:
+            note = f"no index on {entry.name}"
+        else:
+            with TRACER.span("plan", table=entry.name, var=var) as span:
+                groups = extract_condition_groups(where, var)
                 conditions = (
                     None
                     if groups is None
                     else [c for group in groups for c in group.conditions]
                 )
-                roots = report = None
-                if conditions:
+                if conditions is None:
+                    note = "WHERE not index-coverable"
+                elif not conditions:
+                    note = "no indexable conditions"
+                else:
+                    note = (
+                        "no matching index; "
+                        f"{len(conditions)} indexable condition(s) found"
+                    )
                     if self.planner_mode == "first-match":
                         roots, report = candidate_roots_first_match(
                             entry, conditions
                         )
                     else:
                         roots, report = candidate_roots(
-                            entry,
-                            conditions,
-                            order_by=self._order_pushdown_path(query, var),
-                            groups=groups,
+                            entry, conditions, order_by=order_by, groups=groups
                         )
                 if span is not None:
                     span.annotate(
@@ -1700,20 +1787,20 @@ class Database:
                             report is not None and report.sort_elided
                         ),
                     )
-            if roots is not None:
-                self.last_plan = report
-                if METRICS.enabled:
-                    METRICS.inc("query.index_plans")
-                if entry.mvcc is not None or self._session() is not None:
-                    # Index hits may be stale by fetch time (MVCC defers
-                    # deindexing to GC; a 2PL writer can change a row's
-                    # values between our index probe and its S-lock) —
-                    # candidates stay a superset, nothing is settled.
-                    report.settled = []
-                return self._stream_candidates(entry, name, roots, lazy)
+        if roots is None:
+            if METRICS.enabled:
+                METRICS.inc("query.scan_plans")
+            return None, note
+        self.last_plan = report
         if METRICS.enabled:
-            METRICS.inc("query.scan_plans")
-        return self.iterate_table(name, asof, lazy=lazy)
+            METRICS.inc("query.index_plans")
+        if entry.mvcc is not None or self._session() is not None:
+            # Index hits may be stale by fetch time (MVCC defers
+            # deindexing to GC; a 2PL writer can change a row's values
+            # between our index probe and its S-lock) — candidates stay a
+            # superset, nothing is settled.
+            report.settled = []
+        return roots, ""
 
     def _stream_candidates(
         self, entry: TableEntry, name: str, roots: Iterable[TID], lazy: bool
@@ -2600,6 +2687,24 @@ def _statement_tables(statement: ast.Statement) -> list[str]:
     if isinstance(table, str):
         return [table]
     return []
+
+
+#: statements that select the rows they write through a WHERE clause
+_DML_STATEMENTS = (
+    ast.UpdateStatement,
+    ast.DeleteStatement,
+    ast.SubInsertStatement,
+    ast.SubUpdateStatement,
+    ast.SubDeleteStatement,
+)
+
+
+def _dml_ranges(statement: ast.Statement) -> tuple[ast.Range, ...]:
+    """The FROM ranges of a DML statement (a root UPDATE/DELETE ranges
+    its variable over its table)."""
+    if isinstance(statement, (ast.UpdateStatement, ast.DeleteStatement)):
+        return (ast.Range(statement.var, ast.Source(table=statement.table)),)
+    return statement.ranges  # type: ignore[union-attr]
 
 
 def _keys_along_path(row: TupleValue, path: tuple[str, ...]):

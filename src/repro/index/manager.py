@@ -6,13 +6,16 @@ the stored object's Mini Directory alongside its values and emits one entry
 per occurrence; the address stored per entry depends on the
 :class:`~repro.index.addresses.AddressingMode` (Section 4.2's comparison).
 
-Maintenance is object-granular: DML re-indexes the affected object
-(deindex + index), which keeps every index consistent under partial updates
-without per-subtuple bookkeeping.
+Maintenance is object-granular: DML re-indexes the affected object, which
+keeps every index consistent under partial updates without per-subtuple
+bookkeeping.  Only the difference between the object's old and new entries
+reaches the tree: Mini TIDs are stable under partial updates (Section 4.1),
+so a budget update moves one posting and a member insert adds one.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
 
@@ -68,14 +71,23 @@ class NF2Index:
     # -- maintenance ------------------------------------------------------------
 
     def index_object(self, obj: OpenObject) -> None:
-        """Add entries for one stored object."""
+        """Bring one stored object's entries up to date.
+
+        Only the multiset difference between its old and new ``(key,
+        address)`` entries touches the tree — ``BPlusTree.remove`` scans a
+        posting list, and a popular key's list holds thousands."""
         # the object walk reads pages; keep it outside the latch so probe
         # latency is bounded by tree work only
         entries = list(self.compute_entries(obj))
         with self._latch:
-            for key, address in self._by_root.pop(obj.root_tid, ()):
-                self.tree.remove(key, address)
-            for key, address in entries:
+            old = self._by_root.get(obj.root_tid)
+            added = entries
+            if old:
+                before, after = Counter(old), Counter(entries)
+                for key, address in (before - after).elements():
+                    self.tree.remove(key, address)
+                added = (after - before).elements()
+            for key, address in added:
                 self.tree.insert(key, address)
             self._by_root[obj.root_tid] = entries
 
@@ -184,8 +196,11 @@ class FlatIndex:
 
     def index_row(self, tid: TID, key: Any) -> None:
         with self._latch:
-            old = self._by_tid.pop(tid, None)
+            old = self._by_tid.get(tid)
+            if old is not None and old == key:
+                return  # key unchanged: the posting stays where it is
             if old is not None:
+                del self._by_tid[tid]
                 self.tree.remove(old, tid)
             if key is None:
                 return

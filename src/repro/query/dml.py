@@ -20,7 +20,10 @@ surfaces in the language as::
 The evaluator enumerates FROM bindings *structurally* (tracking the
 (subtable, position) path of every nested variable), groups matches per
 stored object, and applies them through :meth:`Database.update`, so index
-maintenance and temporal versioning come along for free.
+maintenance and temporal versioning come along for free.  Stored ranges
+take their rows from the planner like SELECT does
+(:meth:`Database._dml_tids`): ``WHERE x.DNO = 314`` probes an index
+instead of loading every department.
 """
 
 from __future__ import annotations
@@ -63,6 +66,9 @@ class PartialDML:
         self, ranges: tuple[ast.Range, ...], where: Optional[ast.Predicate]
     ) -> list[Binding]:
         bindings: list[Binding] = []
+        # each stored range's rows, planned once on first reach: its
+        # candidates depend on its own conjuncts, not on outer bindings
+        stored: dict[int, list[TID]] = {}
 
         def recurse(index: int, env: dict, info: dict) -> None:
             if index == len(ranges):
@@ -75,7 +81,9 @@ class PartialDML:
                 raise ExecutionError("DML operates on the current state, not ASOF")
             if source.table is not None:
                 entry = self._db.catalog.table(source.table)
-                for tid in list(entry.tids):
+                if index not in stored:
+                    stored[index] = self._db._dml_tids(entry, where, range_.var)
+                for tid in stored[index]:
                     row = self._db._fetch(entry, tid)
                     recurse(
                         index + 1,

@@ -1,8 +1,10 @@
 """Access-path selection.
 
-The planner inspects a query's WHERE clause for conditions it can answer
-from indexes on the first FROM range's stored table, and — following
-Section 4.2 — exploits the *addressing mode* of each index:
+The planner inspects a statement's WHERE clause for conditions it can
+answer from indexes on a range's stored table — a query's first FROM
+range, a root UPDATE/DELETE target, every stored range of a partial DML
+statement — and, following Section 4.2, exploits the *addressing mode*
+of each index:
 
 * DATA_TID indexes are never used to retrieve objects (their addresses
   cannot reach the owning object — the paper's first, rejected approach);
@@ -82,26 +84,20 @@ class ConditionGroup:
     exact: bool
 
 
-def extract_conditions(query: ast.Query, var: str) -> Optional[list[IndexCondition]]:
-    """Index-answerable conjuncts of the WHERE clause, anchored at *var*.
+def extract_condition_groups(
+    where: Optional[ast.Predicate], var: str
+) -> Optional[list[ConditionGroup]]:
+    """Index-answerable conjuncts of a WHERE clause, anchored at *var*,
+    grouped per top-level conjunct and annotated with exactness (see
+    :class:`ConditionGroup`).
 
     Returns ``None`` if the clause's top level is not a conjunction we can
-    partially cover (e.g. an OR) — callers then scan.
-    """
-    groups = extract_condition_groups(query, var)
-    if groups is None:
-        return None
-    return [condition for group in groups for condition in group.conditions]
-
-
-def extract_condition_groups(
-    query: ast.Query, var: str
-) -> Optional[list[ConditionGroup]]:
-    """Like :func:`extract_conditions`, but grouped per top-level WHERE
-    conjunct and annotated with exactness (see :class:`ConditionGroup`)."""
-    if query.where is None:
+    partially cover (e.g. an OR) — callers then scan.  Takes the
+    predicate, not a query: SELECT, root UPDATE/DELETE and partial DML all
+    plan their stored-table ranges through this."""
+    if where is None:
         return []
-    conjuncts = _flatten_and(query.where)
+    conjuncts = _flatten_and(where)
     if conjuncts is None:
         return None
     groups: list[ConditionGroup] = []

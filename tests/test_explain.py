@@ -181,3 +181,65 @@ def test_explain_analyze_restores_observability_state(paper_db):
     paper_db.query("SELECT x.DNO FROM x IN DEPARTMENTS")
     assert obs.METRICS.totals() == after
     obs.METRICS.clear()
+
+
+# ---------------------------------------------------------------------------
+# DML plans its rows through the same access-path decision as SELECT
+# ---------------------------------------------------------------------------
+
+
+def test_explain_dml_index_access(paper_db):
+    paper_db.create_index("DN", "DEPARTMENTS", "DNO")
+    plan = paper_db.explain(
+        "UPDATE DEPARTMENTS x SET BUDGET = 1 WHERE x.DNO = 314"
+    )
+    assert "statement: UpdateStatement" in plan
+    assert "loop 1: x IN DEPARTMENTS" in plan
+    assert "access: index (DN) -> 1 candidate object(s)" in plan
+
+
+def test_explain_dml_full_scan_reason(paper_db):
+    paper_db.create_index("DN", "DEPARTMENTS", "DNO")
+    plan = paper_db.explain(
+        "DELETE FROM DEPARTMENTS x WHERE x.DNO = 314 OR x.DNO = 417"
+    )
+    assert "access: full scan (WHERE not index-coverable)" in plan
+
+
+def test_explain_partial_dml_plans_every_range(paper_db):
+    paper_db.create_index("DN", "DEPARTMENTS", "DNO")
+    plan = paper_db.execute(
+        "EXPLAIN DELETE z FROM x IN DEPARTMENTS, y IN x.PROJECTS, "
+        "z IN y.MEMBERS WHERE x.DNO = 218 AND z.FUNCTION = 'Consultant'"
+    )
+    assert plan.count("access:") == 3
+    assert "access: index (DN) -> 1 candidate object(s)" in plan
+    assert "nested scan of y.MEMBERS" in plan
+
+
+def test_dml_publishes_last_plan_and_counts_plans(paper_db):
+    from repro.obs import METRICS
+
+    paper_db.create_index("DN", "DEPARTMENTS", "DNO")
+    METRICS.clear()
+    METRICS.enable()
+    try:
+        paper_db.execute("UPDATE DEPARTMENTS x SET BUDGET = 1 WHERE x.DNO = 314")
+        assert paper_db.last_plan.used_indexes == ["DN"]
+        paper_db.execute("DELETE FROM DEPARTMENTS x WHERE x.MGRNO = 1")
+        assert paper_db.last_plan is None
+        assert METRICS.counter("query.index_plans").total == 1
+        assert METRICS.counter("query.scan_plans").total == 1
+    finally:
+        METRICS.disable()
+        METRICS.clear()
+
+
+def test_explain_analyze_dml_reports_candidates(paper_db):
+    paper_db.create_index("DN", "DEPARTMENTS", "DNO")
+    text = paper_db.execute(
+        "EXPLAIN ANALYZE UPDATE DEPARTMENTS x SET BUDGET = 1 WHERE x.DNO = 314"
+    )
+    assert "access: index (DN) -> 1 candidate object(s)" in text
+    assert "result: 1" in text
+    assert "actual candidates: 1" in text

@@ -153,6 +153,52 @@ def test_reindex_is_idempotent():
     assert len(index.search("Consultant")) == 1
 
 
+def spy_tree(monkeypatch, tree) -> list:
+    calls = []
+    for name in ("insert", "remove"):
+        original = getattr(tree, name)
+
+        def spy(key, address, name=name, original=original):
+            calls.append((name, key))
+            return original(key, address)
+
+        monkeypatch.setattr(tree, name, spy)
+    return calls
+
+
+def test_reindex_applies_only_the_difference(monkeypatch):
+    """Mini TIDs survive partial updates, so re-indexing an object moves
+    only the postings whose keys changed."""
+    manager, roots = stored_departments()
+    index = function_index(AddressingMode.HIERARCHICAL)
+    for root in roots:
+        index.index_object(manager.open(root, paper.DEPARTMENTS_SCHEMA))
+    calls = spy_tree(monkeypatch, index.tree)
+    obj = manager.open(roots[0], paper.DEPARTMENTS_SCHEMA)
+    index.index_object(obj)
+    assert calls == []  # unchanged object: no tree work
+    # dept 314, project 17, member 56019: Consultant -> Adviser
+    obj.update_atoms([("PROJECTS", 0), ("MEMBERS", 1)], {"FUNCTION": "Adviser"})
+    index.index_object(obj)
+    assert calls == [("remove", "Consultant"), ("insert", "Adviser")]
+    calls.clear()
+    obj.insert_element([("PROJECTS", 1)], "MEMBERS", {"EMPNO": 1, "FUNCTION": "Temp"})
+    index.index_object(obj)
+    assert calls == [("insert", "Temp")]
+    assert len(index.search("Consultant")) == 2  # only dept 218's remain
+
+
+def test_flat_index_row_with_unchanged_key_is_a_no_op(monkeypatch):
+    index = FlatIndex(IndexDefinition("I", "E", ("EMPNO",)))
+    index.index_row(TID(1, 0), 100)
+    calls = spy_tree(monkeypatch, index.tree)
+    index.index_row(TID(1, 0), 100)
+    assert calls == []
+    index.index_row(TID(1, 0), 101)
+    assert calls == [("remove", 100), ("insert", 101)]
+    assert index.search(101) == [TID(1, 0)] and index.search(100) == []
+
+
 def test_nulls_not_indexed():
     buffer = BufferManager(MemoryPagedFile(), capacity=64)
     manager = ComplexObjectManager(Segment(buffer))

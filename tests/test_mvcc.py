@@ -198,6 +198,37 @@ def test_first_committer_wins_on_delete():
     db.close()
 
 
+@pytest.mark.parametrize("indexed", [False, True], ids=["scan", "index"])
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "UPDATE T t SET A = 9 WHERE t.A = 0",
+        "DELETE z FROM x IN T, z IN x.S WHERE x.A = 0 AND z.K = 1",
+        "INSERT INTO x.S FROM x IN T WHERE x.A = 0 VALUES (3, 'c')",
+        "UPDATE z FROM x IN T, z IN x.S SET V = 'late' WHERE x.A = 0",
+    ],
+)
+def test_first_committer_wins_on_partial_dml(statement, indexed):
+    """Partial DML selects its rows from the pinned snapshot too: a row
+    deleted by a later commit is a conflict, not a silent zero-row write."""
+    db = Database(mvcc=True)
+    db.execute("CREATE TABLE T (A INT, S TABLE OF (K INT, V STRING))")
+    for i in range(3):
+        db.execute(f"INSERT INTO T VALUES ({i}, {{(1, 'a'), (2, 'b')}})")
+    if indexed:
+        db.execute("CREATE INDEX T_A ON T (A)")
+    s = db.session(name="loser")
+    with pytest.raises(SerializationError):
+        with s.transaction(isolation="snapshot"):
+            s.execute("SELECT x.A FROM x IN T")
+            db.execute("DELETE FROM T t WHERE t.A = 0")
+            s.execute(statement)
+    assert sorted(db.query("SELECT x.A FROM x IN T").column("A")) == [1, 2]
+    assert db.verify() == []
+    s.close()
+    db.close()
+
+
 def test_concurrent_statement_writes_are_read_committed():
     """Unpinned (statement) snapshots refresh at the WAL token, so plain
     autocommit writes always update the latest committed tuple."""

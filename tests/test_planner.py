@@ -7,11 +7,18 @@ from repro.database import Database
 from repro.datasets import DepartmentsGenerator, paper
 from repro.index.addresses import AddressingMode
 from repro.query.parser import parse_query
-from repro.query.planner import IndexCondition, candidate_roots, extract_conditions
+from repro.query.planner import (
+    IndexCondition,
+    candidate_roots,
+    extract_condition_groups,
+)
 
 
 def conditions_of(sql, var="x"):
-    return extract_conditions(parse_query(sql), var)
+    groups = extract_condition_groups(parse_query(sql).where, var)
+    if groups is None:
+        return None
+    return [condition for group in groups for condition in group.conditions]
 
 
 def test_extract_top_level_equality():
