@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from repro.errors import (
+    CatalogError,
     DuplicateIndexError,
     DuplicateTableError,
     UnknownIndexError,
@@ -27,6 +28,7 @@ from repro.storage.heap import HeapFile
 from repro.storage.segment import Segment
 from repro.storage.tid import TID
 from repro.temporal.versions import VersionStore
+from repro.wal.delta import DELTA_FORMAT
 
 from typing import TYPE_CHECKING
 
@@ -64,10 +66,68 @@ class TableEntry:
     #: at the entry level for subtuple-versioned tables, whose manager
     #: keeps no cross-restart state of its own
     timestamp_axis: Optional[str] = None
+    #: root-list changes since the last logged commit, in order:
+    #: ``["+", page, slot]``, ``["-", page, slot]`` or
+    #: ``["~", page, slot, new_page, new_slot]``.  None while the catalog
+    #: is not journaled (in-memory and WAL-less databases).
+    root_ops: Optional[list] = None
+    #: the next delta carries this entry whole: DDL touched it, or an
+    #: entry-level field without a journal of its own changed
+    full_delta: bool = False
 
     @property
     def is_flat(self) -> bool:
         return self.heap is not None
+
+    # -- the root list (every mutation goes through these) -------------------
+
+    def add_root(self, tid: TID) -> None:
+        self.tids.append(tid)
+        if self.root_ops is not None:
+            self.root_ops.append(["+", tid.page, tid.slot])
+
+    def remove_root(self, tid: TID) -> None:
+        self.tids.remove(tid)
+        if self.root_ops is not None:
+            self.root_ops.append(["-", tid.page, tid.slot])
+
+    def replace_root(self, old: TID, new: TID) -> None:
+        """Put *new* at *old*'s position (a copy-on-write update)."""
+        self.tids[self.tids.index(old)] = new
+        if self.root_ops is not None:
+            self.root_ops.append(["~", old.page, old.slot, new.page, new.slot])
+
+    # -- change journal --------------------------------------------------------
+
+    def begin_journal(self) -> None:
+        """Start recording changes afresh (the logged state is current)."""
+        self.root_ops = []
+        self.segment.journal = []
+        self.full_delta = False
+
+    @property
+    def changed(self) -> bool:
+        """Whether the journal holds anything the next COMMIT must log."""
+        return self.root_ops is not None and bool(
+            self.root_ops or self.segment.journal or self.full_delta
+        )
+
+    def take_delta(self, table_state: Callable[["TableEntry"], dict]) -> Optional[dict]:
+        """This entry's part of a COMMIT delta, or None when it did not
+        change.  A versioned entry is always logged whole: its version
+        store, object ids and history list have no journal of their own."""
+        if not self.changed:
+            return None
+        if self.full_delta or self.versioned:
+            delta = {"name": self.name, "entry": table_state(self)}
+        else:
+            delta = {
+                "name": self.name,
+                "roots": self.root_ops,
+                "pages": self.segment.journal,
+            }
+        self.begin_journal()
+        return delta
 
     @property
     def name(self) -> str:
@@ -92,6 +152,43 @@ class Catalog:
         # short internal latch: concurrent sessions resolve table/index
         # names while DDL statements mutate the maps
         self._latch = threading.RLock()
+        #: names dropped since the last logged commit; None while the
+        #: catalog is not journaled
+        self._dropped: Optional[list[str]] = None
+
+    # -- change journal (what a COMMIT record logs) -----------------------------
+
+    def begin_journal(self) -> None:
+        """Record changes from here on, relative to the current state.
+
+        A checkpoint calls this right after logging the full state, so
+        the journal always holds exactly what the next COMMIT must add to
+        the last snapshot in the log."""
+        with self._latch:
+            self._dropped = []
+            for entry in self._tables.values():
+                entry.begin_journal()
+
+    def has_changes(self) -> bool:
+        with self._latch:
+            return bool(self._dropped) or any(
+                entry.changed for entry in self._tables.values()
+            )
+
+    def take_delta(self, table_state: Callable[[TableEntry], dict]) -> dict:
+        """Drain the journal into a COMMIT delta (the layout is documented
+        in :mod:`repro.wal.delta`).  Tables come in catalog order, so
+        replay appends new ones where memory has them."""
+        with self._latch:
+            if self._dropped is None:
+                raise CatalogError("the catalog is not journaled")
+            dropped, self._dropped = self._dropped, []
+            tables = []
+            for entry in self._tables.values():
+                delta = entry.take_delta(table_state)
+                if delta is not None:
+                    tables.append(delta)
+        return {"format": DELTA_FORMAT, "dropped": dropped, "tables": tables}
 
     # -- tables -------------------------------------------------------------------
 
@@ -100,6 +197,9 @@ class Catalog:
             if entry.name in self._tables:
                 raise DuplicateTableError(f"table {entry.name!r} already exists")
             self._tables[entry.name] = entry
+            if self._dropped is not None:
+                entry.begin_journal()
+                entry.full_delta = True
 
     def table(self, name: str) -> TableEntry:
         with self._latch:
@@ -118,6 +218,8 @@ class Catalog:
             for index_name in list(entry.indexes):
                 self._index_owner.pop(index_name, None)
             del self._tables[name]
+            if self._dropped is not None:
+                self._dropped.append(name)
             return entry
 
     def tables(self) -> list[TableEntry]:
@@ -132,6 +234,7 @@ class Catalog:
             if index_name in self._index_owner:
                 raise DuplicateIndexError(f"index {index_name!r} already exists")
             entry.indexes[index_name] = index
+            entry.full_delta = True
             self._index_owner[index_name] = table_name
 
     def drop_index(self, index_name: str) -> None:
@@ -139,7 +242,9 @@ class Catalog:
             owner = self._index_owner.pop(index_name, None)
             if owner is None:
                 raise UnknownIndexError(f"no index named {index_name!r}")
-            del self._tables[owner].indexes[index_name]
+            entry = self._tables[owner]
+            del entry.indexes[index_name]
+            entry.full_delta = True
 
     def index(self, index_name: str) -> AnyIndex:
         with self._latch:

@@ -83,6 +83,7 @@ from repro.temporal.versions import (
     canonical_timestamp,
     timestamp_axis,
 )
+from repro.wal.delta import SNAPSHOT_FORMAT
 
 
 class Database:
@@ -351,12 +352,14 @@ class Database:
 
         No-op when the database has no WAL or when a transaction (explicit
         or an enclosing operation) is already open — nested mutations ride
-        on the outer commit.  On success the dirtied pages and a catalog
-        snapshot are logged and fsynced before control returns (the commit
+        on the outer commit.  On success the dirtied pages and the catalog
+        delta are logged and fsynced before control returns (the commit
         acknowledgement).  On failure the scope converts to an aborted
         transaction and immediately commits the *current* in-memory state
         under a successor, so the durable state converges with memory; a
-        crash in between recovers to the pre-operation state.
+        crash in between recovers to the pre-operation state.  Either way
+        the COMMIT carries the catalog journal since the last logged
+        commit, which the aborted attempt never consumed.
 
         Concurrency: under a session the global writer token is taken
         first (through the lock manager — deadlock-detectable), then the
@@ -416,7 +419,7 @@ class Database:
         except BaseException:
             try:
                 wal.convert_abort()
-                wal.log_commit(self._catalog_state(), self.buffer.image_for_log)
+                wal.log_commit(self._catalog_delta(), self.buffer.image_for_log)
             except Exception as wal_exc:
                 # the WAL itself failed (e.g. injected crash): poison it so
                 # no later mutation slips past a log that stopped
@@ -425,7 +428,7 @@ class Database:
             raise
         try:
             needs_checkpoint = wal.log_commit(
-                self._catalog_state(), self.buffer.image_for_log
+                self._catalog_delta(), self.buffer.image_for_log
             )
         except BaseException as exc:
             wal.poison(exc)
@@ -451,16 +454,20 @@ class Database:
                 from repro.errors import WalError
 
                 raise WalError("cannot checkpoint inside a transaction")
-            state = self._catalog_state()
-            if self.wal.protected_pages:
-                # stray unlogged changes (e.g. direct OpenObject mutation):
-                # fold them into a commit so the flush below is WAL-covered
+            if self.wal.protected_pages or self.catalog.has_changes():
+                # stray unlogged changes (e.g. direct OpenObject mutation,
+                # version GC on close): fold them into a commit so the
+                # flush below is WAL-covered and replicas receive them
                 self.wal.begin()
-                self.wal.log_commit(state, self.buffer.image_for_log)
-                state = self._catalog_state()
+                self.wal.log_commit(
+                    self._catalog_delta(), self.buffer.image_for_log
+                )
+            state = self._catalog_state()
             self.buffer.flush_all()
             self.wal.checkpoint(state)
             self._write_catalog_sidecar(state)
+            # later COMMIT deltas apply to the state just logged
+            self.catalog.begin_journal()
 
     # ======================================================================
     # DDL
@@ -688,6 +695,7 @@ class Database:
                 # while the old schema is still installed
                 self._purge_mvcc_history(entry)
             entry.schema = new_schema
+            entry.full_delta = True  # the logged DDL changes
             self.schema_epoch += 1  # invalidate compiled statement plans
             if entry.is_flat:
                 entry.heap.schema = new_schema  # type: ignore[union-attr]
@@ -795,7 +803,7 @@ class Database:
             tid = entry.temporal_manager.store(
                 entry.schema, value, self._next_timestamp(at)
             )
-            entry.tids.append(tid)
+            entry.add_root(tid)
             self._index_object(entry, tid)
             return tid
         if entry.is_flat:
@@ -806,7 +814,7 @@ class Database:
         else:
             tid = entry.manager.store(entry.schema, value)  # type: ignore[union-attr]
             self._index_object(entry, tid)
-        entry.tids.append(tid)
+        entry.add_root(tid)
         self._note_mvcc_insert(entry, tid)
         if entry.version_store is not None:
             object_id = entry.version_store.record_insert(tid, at=at)
@@ -826,7 +834,7 @@ class Database:
         self._check_snapshot_conflict(entry, tid)
         with self._wal_scope():
             self._deindex_on_write(entry, tid)
-            entry.tids.remove(tid)
+            entry.remove_root(tid)
             if entry.temporal_manager is not None:
                 self._note_temporal_axis(entry, at)
                 entry.temporal_manager.delete_object(
@@ -931,8 +939,7 @@ class Database:
             new_tid = entry.manager.store(entry.schema, new_value)  # type: ignore[union-attr]
             self._index_object(entry, new_tid)
         self._deindex_on_write(entry, tid)
-        position = entry.tids.index(tid)
-        entry.tids[position] = new_tid
+        entry.replace_root(tid, new_tid)
         self._note_mvcc_delete(entry, tid)
         self._note_mvcc_insert(entry, new_tid)
         if entry.version_store is not None:
@@ -1003,6 +1010,7 @@ class Database:
         axis = timestamp_axis(at)
         if entry.timestamp_axis is None:
             entry.timestamp_axis = axis
+            entry.full_delta = True  # an entry field without a journal
         elif entry.timestamp_axis != axis:
             raise TemporalError(
                 f"cannot stamp a {axis} timestamp {at!r} on table "
@@ -2088,7 +2096,7 @@ class Database:
         self._begin_write(entry)
         with self._wal_scope():
             tid = entry.manager.import_object(ObjectBundle.from_bytes(blob))
-            entry.tids.append(tid)
+            entry.add_root(tid)
             self._note_mvcc_insert(entry, tid)
             self._index_object(entry, tid)
             self._lock_object(table, tid, LockMode.X)
@@ -2336,52 +2344,60 @@ class Database:
         self._write_catalog_sidecar(state)
 
     def _catalog_state(self) -> dict:
-        """The catalog serialized as plain JSON data (what the sidecar,
-        WAL commit records, and checkpoint records all carry)."""
+        """The full catalog as plain JSON data (what the sidecar,
+        checkpoint records and a replica's attach snapshot carry)."""
+        return {
+            "format": SNAPSHOT_FORMAT,
+            "tables": [self._table_state(e) for e in self.catalog.tables()],
+        }
+
+    def _catalog_delta(self) -> dict:
+        """The catalog changes since the last logged commit or checkpoint
+        (what a COMMIT record carries; see :mod:`repro.wal.delta`).
+        Drains the catalog's journal."""
+        return self.catalog.take_delta(
+            lambda entry: self._table_state(entry, stats=False)
+        )
+
+    @staticmethod
+    def _table_state(entry: TableEntry, stats: bool = True) -> dict:
+        """One catalog entry as plain JSON data.  Index statistics ride
+        along in snapshots (tooling can inspect them without opening the
+        trees; reopen re-derives exact values while rebuilding) but not in
+        COMMIT deltas."""
         from repro.model.ddl import schema_to_ddl
 
-        tables = []
-        for entry in self.catalog.tables():
-            indexes = []
-            for name, index in entry.indexes.items():
-                definition = index.definition
-                indexes.append(
-                    {
-                        "name": name,
-                        "path": list(definition.attribute_path),
-                        "text": isinstance(index, TextIndex),
-                        "mode": definition.mode.value,
-                        "fragment_length": getattr(index, "fragment_length", None),
-                        # cost-model statistics ride along (tooling can
-                        # inspect them without opening the trees; reopen
-                        # re-derives exact values while rebuilding)
-                        "stats": index.stats.snapshot(),
-                    }
-                )
-            tables.append(
-                {
-                    "ddl": schema_to_ddl(entry.schema),
-                    "versioned": entry.versioned,
-                    "versioning": entry.versioning,
-                    "timestamp_axis": entry.timestamp_axis,
-                    "segment": entry.segment.state(),
-                    "tids": [[t.page, t.slot] for t in entry.tids],
-                    "history_tids": [
-                        [t.page, t.slot] for t in entry.history_tids
-                    ],
-                    "version_store": (
-                        entry.version_store.state()
-                        if entry.version_store is not None
-                        else None
-                    ),
-                    "object_ids": [
-                        [[t.page, t.slot], oid]
-                        for t, oid in entry.object_ids.items()
-                    ],
-                    "indexes": indexes,
-                }
-            )
-        return {"format": 1, "tables": tables}
+        indexes = []
+        for name, index in entry.indexes.items():
+            definition = index.definition
+            index_state = {
+                "name": name,
+                "path": list(definition.attribute_path),
+                "text": isinstance(index, TextIndex),
+                "mode": definition.mode.value,
+                "fragment_length": getattr(index, "fragment_length", None),
+            }
+            if stats:
+                index_state["stats"] = index.stats.snapshot()
+            indexes.append(index_state)
+        return {
+            "ddl": schema_to_ddl(entry.schema),
+            "versioned": entry.versioned,
+            "versioning": entry.versioning,
+            "timestamp_axis": entry.timestamp_axis,
+            "segment": entry.segment.state(),
+            "tids": [[t.page, t.slot] for t in entry.tids],
+            "history_tids": [[t.page, t.slot] for t in entry.history_tids],
+            "version_store": (
+                entry.version_store.state()
+                if entry.version_store is not None
+                else None
+            ),
+            "object_ids": [
+                [[t.page, t.slot], oid] for t, oid in entry.object_ids.items()
+            ],
+            "indexes": indexes,
+        }
 
     def _write_catalog_sidecar(self, state: dict) -> None:
         """Atomically (and durably) replace the catalog sidecar file."""
@@ -2603,7 +2619,7 @@ class _Transaction:
                         wal.convert_abort()
                         self.rollback()
                         wal.log_commit(
-                            db._catalog_state(), db.buffer.image_for_log
+                            db._catalog_delta(), db.buffer.image_for_log
                         )
                     except Exception as wal_exc:
                         # WAL failure (e.g. injected crash): poison it so
@@ -2616,7 +2632,7 @@ class _Transaction:
             if wal is not None:
                 try:
                     needs_checkpoint = wal.log_commit(
-                        db._catalog_state(), db.buffer.image_for_log
+                        db._catalog_delta(), db.buffer.image_for_log
                     )
                 except BaseException as exc_:
                     wal.poison(exc_)

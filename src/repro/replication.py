@@ -1,9 +1,9 @@
 """WAL log shipping: one primary streams commits to N read replicas.
 
 The paper's complex objects are physically self-contained (the root MD
-subtuple carries the object's page list, §4.1), and the PR 2 write-ahead
-log already captures every commit as full page after-images plus a
-catalog snapshot.  That makes *physical* replication almost free: a
+subtuple carries the object's page list, §4.1), and the write-ahead log
+already captures every commit as full page after-images plus a catalog
+delta.  That makes *physical* replication almost free: a
 replica is just another process redoing the primary's commit batches
 into its own page file and buffer pool, then serving read-only / ASOF /
 snapshot queries from them.
@@ -14,8 +14,8 @@ Roles
 **Primary** — :class:`ReplicationHub`, created lazily by the server when
 the first replica connects.  It registers itself as a WAL *shipper*
 (:attr:`~repro.wal.manager.WalManager.shippers`): after every durable
-commit it receives the committed page images and the catalog snapshot
-the COMMIT record carries, stamps them with a monotonically increasing
+commit it receives the committed page images and the catalog delta the
+COMMIT record carries, stamps them with a monotonically increasing
 **batch sequence number**, and fans the encoded batch out to every
 attached replica link.  Attach is atomic with commit publication (both
 run under the engine's write latch), so a new replica gets a consistent
@@ -28,7 +28,8 @@ primary's normal line-protocol port, sends the ``REPLICATE <seq>``
 handshake, and then applies the JSON-lines stream: page images are
 redone through :func:`~repro.wal.recovery.redo_page_image` (the same
 primitive crash recovery uses), the buffer pool drops its stale copies,
-and changed catalog entries are rebuilt from the shipped snapshot.  Each
+the shipped delta is folded onto the replica's catalog state, and the
+catalog entries it names are rebuilt.  Each
 applied batch is acknowledged back, which is where the primary's
 ``SYS.REPLICAS`` lag column comes from.  The tailer reconnects with
 backoff until it is stopped or the replica is promoted.
@@ -49,7 +50,7 @@ Wire format (after the ``REPLICATE`` handshake the connection leaves the
 ``#<n>`` framing and becomes a JSON-lines stream)::
 
     primary -> replica  {"type": "snapshot", "seq": S, "pages": [[no, b64(zlib(image))], ...], "catalog": {...}}
-    primary -> replica  {"type": "commit",   "seq": S, "pages": [...], "catalog": {...}}
+    primary -> replica  {"type": "commit",   "seq": S, "pages": [...], "catalog": {<delta>}}
     primary -> replica  {"type": "ping",     "seq": S}
     replica -> primary  {"type": "ack",      "seq": S}
 
@@ -67,8 +68,9 @@ import zlib
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.concurrency.locks import LockMode
-from repro.errors import ConcurrencyError, ExecutionError
+from repro.errors import ConcurrencyError, ExecutionError, WalError
 from repro.obs import METRICS
+from repro.wal.delta import apply_catalog_delta, table_name
 from repro.wal.recovery import redo_page_image
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -96,12 +98,6 @@ def _decode_pages(blob) -> list:
 
 def _encode_message(message: dict) -> bytes:
     return (json.dumps(message, separators=(",", ":")) + "\n").encode("utf-8")
-
-
-def _table_name(table_state: dict) -> str:
-    # the segment state carries the table name — cheaper than re-parsing
-    # the DDL text for every table in every batch
-    return table_state["segment"]["name"]
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +193,9 @@ class ReplicationHub:
 
     # -- shipping --------------------------------------------------------------
 
-    def publish(self, pages, catalog_state) -> None:
+    def publish(self, pages, catalog_delta) -> None:
         """The WAL shipper hook: one durable commit's page images +
-        catalog snapshot.  Runs on the committing thread, under the write
+        catalog delta.  Runs on the committing thread, under the write
         latch, *after* the log fsync."""
         self.seq += 1
         links = self.links()
@@ -209,7 +205,7 @@ class ReplicationHub:
             "type": "commit",
             "seq": self.seq,
             "pages": _encode_pages(pages),
-            "catalog": catalog_state,
+            "catalog": catalog_delta,
         }
         data = _encode_message(message)
         for link in links:
@@ -298,9 +294,10 @@ class ReplicaState:
         self.pages_applied = 0
         self.bytes_received = 0
         self.last_error: Optional[str] = None
-        #: per-table catalog-state fingerprints of the installed catalog;
-        #: apply diffs against it to rebuild only what a batch changed
-        self._table_blobs: dict[str, str] = {}
+        #: full catalog state as of ``applied_seq``: the attach snapshot
+        #: with every applied batch's delta folded in (the per-table
+        #: states that apply rebuilds catalog entries from)
+        self._catalog: Optional[dict] = None
         self._cond = threading.Condition()
         self._tailer: Optional["ReplicaTailer"] = None
 
@@ -397,7 +394,7 @@ class ReplicaTailer(threading.Thread):
         while not self._stop_event.is_set() and not state.promoted:
             try:
                 self._tail_once()
-            except (OSError, ValueError, KeyError) as exc:
+            except (OSError, ValueError, KeyError, WalError) as exc:
                 state.last_error = f"{type(exc).__name__}: {exc}"
             finally:
                 state._note(connected=False)
@@ -462,37 +459,44 @@ def apply_batch(db: "Database", state: ReplicaState, message: dict) -> None:
     """Redo one shipped batch into the replica.
 
     Page images go straight into the page file (crash recovery's redo
-    primitive) and the buffer pool forgets its stale copies.  Catalog
-    entries are rebuilt only where the batch changed something: where the
-    per-table catalog fingerprint moved (insert/delete/DDL change the TID
-    list or segment state), or where an *indexed* table's pages changed
-    (an in-place UPDATE rewrites page bytes without moving the catalog —
-    the in-memory index must be rebuilt to follow).  Table-``X`` locks on
-    everything touched keep 2PL readers off half-applied state.
+    primitive) and the buffer pool forgets its stale copies.  A commit's
+    catalog delta is folded onto the replica's catalog state with the
+    same :func:`~repro.wal.delta.apply_catalog_delta` crash recovery
+    uses, and catalog entries are rebuilt only where the batch changed
+    something: the tables the delta names (insert/delete/DDL), and
+    *indexed* tables whose pages changed (an in-place UPDATE rewrites page
+    bytes without moving the catalog — the in-memory index must be
+    rebuilt to follow).  A commit whose sequence number does not follow
+    the last applied one has no base to apply to: apply raises
+    :class:`WalError` before touching anything, and the tailer re-attaches
+    for a fresh snapshot.  Table-``X`` locks on everything touched keep
+    2PL readers off half-applied state.
     """
     pages = _decode_pages(message.get("pages", ()))
-    catalog_state = message["catalog"]
     snapshot = message["type"] == "snapshot"
     page_set = {page_no for page_no, _ in pages}
 
-    table_states = {
-        _table_name(ts): ts for ts in catalog_state["tables"]
-    }
-    new_blobs = {
-        name: json.dumps(ts, sort_keys=True)
-        for name, ts in table_states.items()
-    }
-    cached = state._table_blobs
     if snapshot:
+        catalog_state = apply_catalog_delta(None, message["catalog"])
+        table_states = {table_name(ts): ts for ts in catalog_state["tables"]}
         rebuild = set(table_states)
-        dropped = {e.name for e in db.catalog.tables()} - set(table_states)
+        dropped = {e.name for e in db.catalog.tables()} - rebuild
     else:
-        rebuild = {
-            name
-            for name, blob in new_blobs.items()
-            if cached.get(name) != blob
-        }
-        dropped = set(cached) - set(table_states)
+        seq = int(message["seq"])
+        if seq != state.applied_seq + 1:
+            raise WalError(
+                f"replication batch {seq} does not follow applied batch "
+                f"{state.applied_seq}; re-attach for a snapshot"
+            )
+        delta = message["catalog"]
+        try:
+            catalog_state = apply_catalog_delta(state._catalog, delta)
+        except WalError:
+            state._catalog = None  # folded in place: only a snapshot heals
+            raise
+        table_states = {table_name(ts): ts for ts in catalog_state["tables"]}
+        rebuild = {change["name"] for change in delta["tables"]}
+        dropped = set(delta["dropped"]) - rebuild
         for name, ts in table_states.items():
             if name in rebuild or not ts["indexes"]:
                 continue
@@ -505,14 +509,13 @@ def apply_batch(db: "Database", state: ReplicaState, message: dict) -> None:
     for name, ts in table_states.items():
         if name not in touched and page_set.intersection(ts["segment"]["pages"]):
             touched.add(name)
-    touched = {name for name in touched if db.catalog.has_table(name)} | (
-        rebuild & set(table_states)
-    )
+    touched = {name for name in touched if db.catalog.has_table(name)} | rebuild
 
     txn = _lock_tables_exclusive(db, sorted(touched))
     db._apply_ctx.active = True
     try:
         with db._write_latch:
+            state._catalog = catalog_state
             for page_no, image in pages:
                 redo_page_image(db._file, page_no, image)
                 db.buffer.invalidate(page_no)
@@ -521,14 +524,11 @@ def apply_batch(db: "Database", state: ReplicaState, message: dict) -> None:
             for name in dropped:
                 if db.catalog.has_table(name):
                     db.catalog.drop_table(name)
-                cached.pop(name, None)
-            for ts in catalog_state["tables"]:
-                name = _table_name(ts)
+            for name, ts in table_states.items():
                 if name in rebuild:
                     if db.catalog.has_table(name):
                         db.catalog.drop_table(name)
                     db._restore_table_entry(ts, current_only=True)
-                cached[name] = new_blobs[name]
             if rebuild or dropped:
                 db.schema_epoch += 1  # compiled plans must re-resolve
     finally:

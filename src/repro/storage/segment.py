@@ -45,6 +45,10 @@ class Segment:
         self._free_pages: list[int] = []
         #: page -> approximate free bytes
         self._free_map: dict[int, int] = {}
+        #: page-list changes since the last logged commit, in order:
+        #: ``["a", page]`` (allocated: the last free page, else a new
+        #: one) and ``["f", page]`` (freed).  None: not journaled.
+        self.journal: Optional[list] = None
 
     # -- page management -------------------------------------------------------
 
@@ -74,6 +78,8 @@ class Segment:
             self._buffer.unpin(page_no, dirty=True)
         self._pages.append(page_no)
         self._free_map[page_no] = _usable_space(self._buffer, page_no)
+        if self.journal is not None:
+            self.journal.append(["a", page_no])
         return page_no
 
     def free_page(self, page_no: int) -> None:
@@ -83,6 +89,8 @@ class Segment:
         self._pages.remove(page_no)
         del self._free_map[page_no]
         self._free_pages.append(page_no)
+        if self.journal is not None:
+            self.journal.append(["f", page_no])
 
     def owns(self, page_no: int) -> bool:
         return page_no in self._free_map

@@ -11,12 +11,14 @@ classic invariants on behalf of the engine:
   on the data file).
 * **log-then-commit** — :meth:`log_commit` appends the after-images of
   every page the transaction dirtied, stamps each frame's pageLSN, appends
-  the ``COMMIT`` record carrying the catalog snapshot, and fsyncs; only
-  after the fsync returns is the commit acknowledged.
+  the ``COMMIT`` record carrying the transaction's catalog delta (see
+  :mod:`repro.wal.delta`), and fsyncs; only after the fsync returns is
+  the commit acknowledged.
 
 Checkpoints truncate the log: after the caller has flushed all dirty pages
 and synced the data file, :meth:`checkpoint` atomically replaces the log
-with a single ``CHECKPOINT`` record holding the catalog snapshot.
+with a single ``CHECKPOINT`` record holding the full catalog state — the
+base every later COMMIT delta applies to.
 ``should_checkpoint`` drives the auto-checkpoint policy (log bytes since
 the last checkpoint exceed a threshold).
 
@@ -130,11 +132,11 @@ class WalManager:
         #: slip past a log that stopped recording — exactly like a real
         #: engine panicking when it cannot write its log.
         self.failure: Optional[BaseException] = None
-        #: log-shipping subscribers: callables ``(pages, catalog_state)``
+        #: log-shipping subscribers: callables ``(pages, catalog_delta)``
         #: invoked after every durable commit with the committed page
-        #: after-images ``[(page_no, image), ...]`` and the catalog
-        #: snapshot the COMMIT record carries.  The replication hub
-        #: registers here (see :mod:`repro.replication`).
+        #: after-images ``[(page_no, image), ...]`` and the catalog delta
+        #: the COMMIT record carries.  The replication hub registers here
+        #: (see :mod:`repro.replication`).
         self.shippers: list[Callable[[list, Any], None]] = []
         #: cumulative counters (mirrored into METRICS when enabled)
         self.records_appended = 0
@@ -143,6 +145,8 @@ class WalManager:
         self.commits = 0
         self.aborts = 0
         self.checkpoints = 0
+        #: shipper calls that raised (the commit stands regardless)
+        self.ship_errors = 0
 
     # -- transaction lifecycle ------------------------------------------------
 
@@ -180,14 +184,17 @@ class WalManager:
 
     def log_commit(
         self,
-        catalog_state: Any,
+        catalog_delta: Any,
         get_image: Callable[[int, int], bytes],
     ) -> bool:
         """Make the active transaction durable.
 
-        *get_image(page_no, lsn)* must stamp *lsn* into the page's header
-        and return the page's current bytes.  Returns True when the caller
-        should run an auto-checkpoint (log grew past the threshold).
+        *catalog_delta* is what the transaction changed in the catalog
+        since the last COMMIT or CHECKPOINT (the engine passes
+        ``Catalog.take_delta``'s result).  *get_image(page_no, lsn)* must
+        stamp *lsn* into the page's header and return the page's current
+        bytes.  Returns True when the caller should run an auto-checkpoint
+        (log grew past the threshold).
         """
         self._check_alive()
         if self._txn is None:
@@ -201,7 +208,7 @@ class WalManager:
             if shipped is not None:
                 shipped.append((page_no, image))
         self.last_commit_lsn = self._append(
-            REC_COMMIT, txn, encode_catalog(catalog_state)
+            REC_COMMIT, txn, encode_catalog(catalog_delta)
         )
         self.flush()
         self._dirty.clear()
@@ -212,13 +219,16 @@ class WalManager:
         if shipped is not None:
             # ship the committed batch only after the fsync above: a
             # replica must never apply state the primary could lose.  A
-            # failing subscriber must not fail the commit — the hub marks
-            # the dead link and the commit stands.
+            # failing subscriber must not fail the commit: the failure is
+            # counted and the commit stands (a replica that missed the
+            # batch sees the sequence gap and re-attaches)
             for shipper in list(self.shippers):
                 try:
-                    shipper(shipped, catalog_state)
-                except Exception:  # pragma: no cover - defensive
-                    pass
+                    shipper(shipped, catalog_delta)
+                except Exception:  # noqa: BLE001 — counted in ship_errors
+                    self.ship_errors += 1
+                    if METRICS.enabled:
+                        METRICS.inc("wal.ship_errors")
         return self._bytes_since_checkpoint >= self.auto_checkpoint_bytes
 
     def convert_abort(self) -> int:
@@ -318,6 +328,7 @@ class WalManager:
             "commits": self.commits,
             "aborts": self.aborts,
             "checkpoints": self.checkpoints,
+            "ship_errors": self.ship_errors,
             "in_txn": self.in_txn,
             "unlogged_dirty_pages": len(self._dirty),
         }

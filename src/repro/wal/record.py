@@ -23,15 +23,21 @@ Record types and payloads:
     ``u32 page_no + u8 codec + image`` — a physiological redo record: the
     full after-image of one page as dirtied by *txn_id* (codec 1 = zlib).
 ``COMMIT``
-    zlib-compressed catalog JSON — the committed catalog snapshot.  Redo
-    replays the page images of committed transactions and installs the
-    newest committed catalog.
+    zlib-compressed catalog JSON — the transaction's catalog *delta*
+    (``"format": 2``: dropped tables, root-TID and page-list operations,
+    whole entries for DDL-touched or versioned tables; see
+    :mod:`repro.wal.delta`).  Redo replays the page images of committed
+    transactions and folds their deltas onto the checkpoint's catalog.
+    Logs written before deltas carry a full snapshot here
+    (``"format": 1``), which replays as a snapshot.
 ``ABORT``
     empty — the transaction's in-memory effects were rolled back; its page
     images (if any) must not be replayed on their own.
 ``CHECKPOINT``
-    zlib-compressed catalog JSON — written after all dirty pages reached
-    the data file; recovery starts its redo scan at the last checkpoint.
+    zlib-compressed catalog JSON — the full catalog state (``"format":
+    1``, the same document as the catalog sidecar), written after all
+    dirty pages reached the data file; recovery starts its redo scan and
+    its catalog at the last checkpoint.
 ``GC_WATERMARK``
     ``f64`` — the MVCC version-GC watermark (oldest snapshot point still
     reachable) after a reclamation round.  Informational: redo skips it;
@@ -147,6 +153,7 @@ def decode_page_image(payload: bytes) -> tuple[int, bytes]:
 
 
 def encode_catalog(state: Any) -> bytes:
+    """A catalog snapshot or delta as a COMMIT/CHECKPOINT payload."""
     return zlib.compress(json.dumps(state).encode("utf-8"), 6)
 
 

@@ -15,8 +15,12 @@ records and a no-steal buffer policy (so no undo pass is ever needed):
    as needed and re-stamping each page's checksum.  Before overwriting, the
    existing page is checksum-verified — a mismatch is a detected torn write,
    repaired by the logged image.
-4. The catalog snapshot of the newest ``COMMIT`` (or, failing that, the
-   checkpoint) becomes the recovered catalog.
+4. The checkpoint's catalog snapshot, with every winner's ``COMMIT``
+   delta folded onto it in log order
+   (:func:`~repro.wal.delta.apply_catalog_delta`), becomes the recovered
+   catalog.  A delta with no snapshot before it, or a record of unknown
+   format, raises :class:`~repro.errors.WalError` — a catalog is never
+   installed half-applied.
 
 Recovery is idempotent: crashing during recovery and re-running it reaches
 the same state, because redo writes are pure functions of the log.
@@ -31,6 +35,7 @@ from typing import Any, Optional
 from repro.obs import METRICS
 from repro.storage.page import checksum_ok, stamp_checksum
 from repro.storage.pagedfile import PagedFile
+from repro.wal.delta import apply_catalog_delta
 from repro.wal.record import (
     REC_BEGIN,
     REC_CHECKPOINT,
@@ -48,7 +53,8 @@ from repro.wal.record import (
 class RecoveryResult:
     """What one recovery pass did (surfaced as ``db.last_recovery``)."""
 
-    #: catalog snapshot to install, or None (fall back to the sidecar)
+    #: catalog state to install (full, format 1), or None (fall back to
+    #: the sidecar)
     catalog_state: Optional[Any] = None
     records_scanned: int = 0
     checkpoint_found: bool = False
@@ -130,8 +136,10 @@ def recover(wal_path: str, file: PagedFile) -> Optional[RecoveryResult]:
     result.loser_ids = losers
 
     for record in tail:
-        if record.type == REC_COMMIT and record.txn in winners:
-            result.catalog_state = decode_catalog(record.payload)
+        if record.type == REC_COMMIT:
+            result.catalog_state = apply_catalog_delta(
+                result.catalog_state, decode_catalog(record.payload)
+            )
         if record.type == REC_GC_WATERMARK:
             result.gc_watermark = decode_gc_watermark(record.payload)
         if record.type != REC_PAGE_IMAGE or record.txn not in winners:

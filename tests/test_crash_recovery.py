@@ -27,6 +27,7 @@ import random
 import pytest
 
 from repro.database import Database
+from repro.errors import DataError
 from repro.storage.pagedfile import DiskPagedFile
 from repro.wal.faults import CrashClock, CrashPoint, FaultyPagedFile, FaultyWalIO
 
@@ -39,11 +40,18 @@ NEST_DDL = (
     "CREATE TABLE NEST (K INT, NOTE STRING, "
     "KIDS TABLE OF (X INT, TAG STRING))"
 )
+# created first, so dropping and re-creating it changes the table order
+SIDE_DDL = "CREATE TABLE SIDE (S INT, LABEL STRING)"
 
 
 def build_workload(seed):
     """A deterministic list of operations, each one an acknowledged unit
-    (a single auto-committed statement or one explicit transaction)."""
+    (a single auto-committed statement or one explicit transaction).
+
+    Besides DML the mix changes the catalog in every way a COMMIT delta
+    records: index DDL, a table dropped and re-created in one
+    transaction, ALTER ADD, a failing auto-commit statement (the abort
+    path) and member deletes that free an object's pages."""
     rng = random.Random(seed)
     ops = []
 
@@ -51,6 +59,7 @@ def build_workload(seed):
         ops.append(fn)
         return fn
 
+    op(lambda db: db.execute(SIDE_DDL))
     op(lambda db: db.execute(FLAT_DDL))
     op(lambda db: db.execute(NEST_DDL))
 
@@ -131,6 +140,80 @@ def build_workload(seed):
 
         return run
 
+    def make_insert_big_nest():
+        # enough members to spread the object's data over several pages
+        key = next_id[0]
+        next_id[0] += 1
+        kids = [
+            {"X": rng.randrange(50), "TAG": "m%02d-" % i + "x" * 60}
+            for i in range(120)
+        ]
+
+        def run(db):
+            db.insert("NEST", {"K": key, "NOTE": "big", "KIDS": kids})
+
+        return run
+
+    def make_delete_members():
+        def run(db):
+            # the object with the most members: emptying its data pages
+            # frees them from the segment
+            sizes = [(len(r["KIDS"]), r["K"]) for r in db.iterate_table("NEST")]
+            if not sizes:
+                return
+            target = max(sizes)[1]
+            db.execute(
+                "DELETE z FROM x IN NEST, z IN x.KIDS "
+                f"WHERE x.K = {target}"
+            )
+
+        return run
+
+    def make_toggle_index():
+        name, table, path = rng.choice(
+            [("IDX_FLAT_QTY", "FLAT", "QTY"), ("IDX_NEST_X", "NEST", "KIDS.X")]
+        )
+
+        def run(db):
+            if name in db.catalog.table(table).indexes:
+                db.execute(f"DROP INDEX {name}")
+            else:
+                db.execute(f"CREATE INDEX {name} ON {table} ({path})")
+
+        return run
+
+    def make_recreate_side():
+        value = rng.randrange(100)
+
+        def run(db):
+            with db.transaction():
+                db.execute("DROP TABLE SIDE")
+                db.execute(SIDE_DDL)
+                db.insert("SIDE", {"S": value, "LABEL": "s%d" % value})
+
+        return run
+
+    def make_alter_side():
+        def run(db):
+            # rewrites the table's rows under the new schema
+            width = len(db.catalog.table("SIDE").schema.attributes)
+            db.execute(f"ALTER TABLE SIDE ADD A{width} INT")
+
+        return run
+
+    def make_failing_insert():
+        rowid = next_id[0]
+        next_id[0] += 1
+        good = {"ID": rowid, "NAME": "kept", "QTY": rng.randrange(100)}
+
+        def run(db):
+            # the second row is invalid: the statement fails after the
+            # first insert, and its scope commits what memory kept
+            with pytest.raises(DataError):
+                db.insert_many("FLAT", [good, {"ID": -1, "BOGUS": 0}])
+
+        return run
+
     choices = [
         (make_insert_flat, 6),
         (make_insert_nest, 3),
@@ -138,6 +221,12 @@ def build_workload(seed):
         (make_delete, 2),
         (make_txn_commit, 2),
         (make_txn_rollback, 2),
+        (make_insert_big_nest, 2),
+        (make_delete_members, 2),
+        (make_toggle_index, 2),
+        (make_recreate_side, 1),
+        (make_alter_side, 1),
+        (make_failing_insert, 1),
     ]
     bag = [maker for maker, weight in choices for _ in range(weight)]
     for _ in range(22):
@@ -146,14 +235,21 @@ def build_workload(seed):
 
 
 def state_of(db):
-    """Logical contents, order- and TID-independent."""
-    out = {}
+    """Logical contents in table order, with each table's DDL and index
+    definitions; rows are order- and TID-independent."""
+    from repro.model.ddl import schema_to_ddl
+
+    out = []
     for entry in db.catalog.tables():
         rows = [
             json.dumps(row.to_plain(), sort_keys=True, default=str)
             for row in db.iterate_table(entry.name)
         ]
-        out[entry.name] = sorted(rows)
+        indexes = sorted(
+            [name, ".".join(index.definition.attribute_path)]
+            for name, index in entry.indexes.items()
+        )
+        out.append([schema_to_ddl(entry.schema), indexes, sorted(rows)])
     return out
 
 
@@ -193,6 +289,10 @@ def run_until_crash(path, seed, countdown, torn):
         db, faulty, wal_io = open_faulty(path, clock)
         for op in ops:
             op(db)
+            # an error path may swallow the crash (the WAL poisons itself
+            # and the statement's own error surfaces): a process that
+            # died during the operation never acknowledged it
+            clock.check()
             acked += 1
         db.close()
     except CrashPoint:

@@ -10,8 +10,10 @@ failover with a subprocess primary.
 """
 
 import datetime
+import json
 import os
 import re
+import socket
 import subprocess
 import sys
 import threading
@@ -21,8 +23,14 @@ import pytest
 
 import repro
 from repro.database import Database
-from repro.errors import ExecutionError, UnknownTableError
-from repro.replication import open_replica, promote
+from repro.errors import ExecutionError, UnknownTableError, WalError
+from repro.replication import (
+    ReplicaState,
+    ReplicationHub,
+    apply_batch,
+    open_replica,
+    promote,
+)
 from repro.server import AsyncDatabaseServer, LineClient
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -150,6 +158,82 @@ def test_multiple_replicas_converge(primary):
     finally:
         for replica in replicas:
             replica.close()
+
+
+def _catalog_by_table(state):
+    """Per-table catalog states without index statistics (a replica
+    rebuilds changed tables at the end of its catalog, so compare by
+    name)."""
+    out = {}
+    for table in state["tables"]:
+        table = dict(table)
+        table["indexes"] = [
+            {k: v for k, v in index.items() if k != "stats"}
+            for index in table["indexes"]
+        ]
+        out[table["segment"]["name"]] = table
+    return out
+
+
+def test_replica_falls_behind_reconnects_and_catches_up(primary):
+    db, server = primary
+    replica = _replica_of(server, reconnect_delay=0.5)
+    try:
+        db.execute("INSERT INTO T VALUES (1, 'before')")
+        _sync(db, replica)
+        # cut the stream; the tailer waits before it reconnects, and the
+        # primary keeps committing — catalog changes included
+        replica.replication._tailer._sock.shutdown(socket.SHUT_RDWR)
+        db.execute("CREATE INDEX IDX_T_ID ON T (ID)")
+        db.execute("CREATE TABLE U (K INT)")
+        db.execute("INSERT INTO U VALUES (7)")
+        with db.transaction():
+            db.execute("DROP TABLE T")
+            db.execute("CREATE TABLE T (ID INT, NAME STRING)")
+            db.execute("INSERT INTO T VALUES (2, 'recreated')")
+        assert replica.replication.applied_seq < db.replication.seq
+        _sync(db, replica)  # the re-attach snapshot
+        # and deltas on top of the new snapshot
+        db.execute("INSERT INTO T VALUES (3, 'after')")
+        db.execute("DELETE FROM U u WHERE u.K = 7")
+        db.execute("CREATE INDEX IDX_U_K ON U (K)")
+        _sync(db, replica)
+        assert _ids(replica) == [2, 3]
+        primary_catalog = _catalog_by_table(db._catalog_state())
+        assert _catalog_by_table(replica.replication._catalog) == primary_catalog
+        assert _catalog_by_table(replica._catalog_state()) == primary_catalog
+        assert replica.replication.last_error is None
+    finally:
+        replica.close()
+
+
+def test_apply_refuses_a_batch_out_of_sequence(tmp_path):
+    """A commit delta only applies to the state right before it: a batch
+    that skips one raises before touching the replica."""
+    db = Database(str(tmp_path / "p.db"))
+    db.execute("CREATE TABLE T (ID INT, NAME STRING)")
+    hub = ReplicationHub(db)
+    db.replication = hub
+    inbox = []
+    hub.attach(lambda data: inbox.append(json.loads(data)), "in-process")
+    db.execute("INSERT INTO T VALUES (1, 'a')")
+    db.execute("INSERT INTO T VALUES (2, 'b')")
+    snapshot, first, second = inbox
+    replica = Database(read_only=True)
+    state = ReplicaState("in-process")
+    try:
+        apply_batch(replica, state, snapshot)
+        state.applied_seq = snapshot["seq"]
+        with pytest.raises(WalError, match="does not follow"):
+            apply_batch(replica, state, second)
+        assert _ids(replica) == []
+        for message in (first, second):
+            apply_batch(replica, state, message)
+            state.applied_seq = message["seq"]
+        assert _ids(replica) == [1, 2]
+    finally:
+        replica.close()
+        db.close()
 
 
 # -- read-only enforcement -------------------------------------------------

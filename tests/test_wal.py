@@ -269,6 +269,11 @@ def test_image_for_log_stamps_page_lsn(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def _snapshot(tag):
+    """A full-snapshot catalog payload (format 1), tagged to tell apart."""
+    return {"format": 1, "tables": [], "tag": tag}
+
+
 def _write_wal(path, records):
     with open(path, "wb") as handle:
         log = b""
@@ -284,7 +289,7 @@ def test_recover_replays_winners_discards_losers(tmp_path):
     _write_wal(wal_path, [
         (REC_BEGIN, 1, b""),
         (REC_PAGE_IMAGE, 1, encode_page_image(0, winner_image)),
-        (REC_COMMIT, 1, encode_catalog({"v": "winner"})),
+        (REC_COMMIT, 1, encode_catalog(_snapshot("winner"))),
         (REC_BEGIN, 2, b""),
         (REC_PAGE_IMAGE, 2, encode_page_image(0, loser_image)),
         # no COMMIT: txn 2 is a loser
@@ -295,7 +300,7 @@ def test_recover_replays_winners_discards_losers(tmp_path):
     assert result.losers_discarded == 1
     assert result.loser_ids == [2]
     assert result.pages_replayed == 1
-    assert result.catalog_state == {"v": "winner"}
+    assert result.catalog_state == _snapshot("winner")
     replayed = file.read_page(0)
     clear_checksum(replayed)
     expected = bytearray(winner_image)
@@ -310,7 +315,7 @@ def test_recover_is_idempotent(tmp_path):
     _write_wal(wal_path, [
         (REC_BEGIN, 1, b""),
         (REC_PAGE_IMAGE, 1, encode_page_image(2, image)),
-        (REC_COMMIT, 1, encode_catalog(None)),
+        (REC_COMMIT, 1, encode_catalog(_snapshot("only"))),
     ])
     file = MemoryPagedFile()
     first = recover(wal_path, file)
@@ -326,7 +331,7 @@ def test_recover_repairs_torn_page(tmp_path):
     _write_wal(wal_path, [
         (REC_BEGIN, 1, b""),
         (REC_PAGE_IMAGE, 1, encode_page_image(0, good)),
-        (REC_COMMIT, 1, encode_catalog(None)),
+        (REC_COMMIT, 1, encode_catalog(_snapshot("only"))),
     ])
     file = MemoryPagedFile()
     file.allocate_page()
@@ -344,21 +349,105 @@ def test_recover_starts_at_last_checkpoint(tmp_path):
     _write_wal(wal_path, [
         (REC_BEGIN, 1, b""),
         (REC_PAGE_IMAGE, 1, encode_page_image(0, b"\x01" * PAGE_SIZE)),
-        (REC_COMMIT, 1, encode_catalog({"v": "old"})),
-        (REC_CHECKPOINT, 0, encode_catalog({"v": "cp"})),
+        (REC_COMMIT, 1, encode_catalog(_snapshot("old"))),
+        (REC_CHECKPOINT, 0, encode_catalog(_snapshot("cp"))),
         (REC_BEGIN, 2, b""),
-        (REC_COMMIT, 2, encode_catalog({"v": "new"})),
+        (REC_COMMIT, 2, encode_catalog(_snapshot("new"))),
     ])
     file = MemoryPagedFile()
     result = recover(wal_path, file)
     assert result.checkpoint_found
     # pre-checkpoint page image is NOT replayed (the data file already has it)
     assert result.pages_replayed == 0
-    assert result.catalog_state == {"v": "new"}
+    assert result.catalog_state == _snapshot("new")
 
 
 def test_recover_without_log_is_noop(tmp_path):
     assert recover(str(tmp_path / "absent.wal"), MemoryPagedFile()) is None
+
+
+def test_recover_refuses_unknown_catalog_format(tmp_path):
+    wal_path = str(tmp_path / "x.wal")
+    _write_wal(wal_path, [
+        (REC_CHECKPOINT, 0, encode_catalog(_snapshot("cp"))),
+        (REC_BEGIN, 1, b""),
+        (REC_COMMIT, 1, encode_catalog({"format": 9, "tables": []})),
+    ])
+    with pytest.raises(WalError, match="unknown catalog record format 9"):
+        recover(wal_path, MemoryPagedFile())
+
+
+def test_recover_refuses_a_delta_without_a_snapshot(tmp_path):
+    wal_path = str(tmp_path / "x.wal")
+    _write_wal(wal_path, [
+        (REC_BEGIN, 1, b""),
+        (REC_COMMIT, 1, encode_catalog(
+            {"format": 2, "dropped": [], "tables": []}
+        )),
+    ])
+    with pytest.raises(WalError, match="without a snapshot"):
+        recover(wal_path, MemoryPagedFile())
+
+
+def test_legacy_snapshot_commits_recover_to_that_snapshot(tmp_path):
+    """A log written before COMMIT records carried deltas — every COMMIT
+    a full ``format: 1`` snapshot — still recovers, one snapshot each."""
+    path = str(tmp_path / "legacy.db")
+    db = Database(path=path)
+    snapshots = []
+    db.wal.shippers.append(
+        lambda pages, delta: snapshots.append(db._catalog_state())
+    )
+    db.create_table(paper.DEPARTMENTS_SCHEMA)
+    db.insert_many("DEPARTMENTS", paper.DEPARTMENTS_ROWS)
+    db.execute("DELETE FROM DEPARTMENTS x WHERE x.DNO = 218")
+    db.execute("CREATE TABLE T (A INT)")
+    db.insert("T", {"A": 1})
+    expected = _rows(db, "DEPARTMENTS")
+    # crash, then rewrite the log as the old format had it
+    with open(path + ".wal", "rb") as handle:
+        records = list(iter_records(handle.read()))
+    legacy = iter(snapshots)
+    _write_wal(path + ".wal", [
+        (
+            r.type,
+            r.txn,
+            encode_catalog(next(legacy)) if r.type == REC_COMMIT else r.payload,
+        )
+        for r in records
+    ])
+    again = Database(path=path)
+    assert again.last_recovery.committed_txns == len(snapshots) == 5
+    assert again.last_recovery.catalog_state == snapshots[-1]
+    assert _rows(again, "DEPARTMENTS") == expected
+    assert [row["A"] for row in again.iterate_table("T")] == [1]
+    assert again.verify() == []
+    again.close()
+
+
+def test_failing_shipper_is_counted_and_the_commit_stands(tmp_path):
+    from repro import obs
+
+    path = str(tmp_path / "ship.db")
+    db = Database(path=path)
+
+    def broken(pages, delta):
+        raise RuntimeError("subscriber bug")
+
+    db.wal.shippers.append(broken)
+    obs.METRICS.enable()
+    obs.METRICS.reset()  # counters are process-global
+    try:
+        db.execute("CREATE TABLE T (A INT)")
+        db.insert("T", {"A": 1})
+        assert obs.METRICS.totals().get("wal.ship_errors") == 2
+    finally:
+        obs.METRICS.disable()
+    assert db.wal.stats()["ship_errors"] == 2
+    assert db.wal.commits == 2
+    again = Database(path=path)  # the commits are durable all the same
+    assert [row["A"] for row in again.iterate_table("T")] == [1]
+    again.close()
 
 
 # ---------------------------------------------------------------------------
