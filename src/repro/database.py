@@ -2013,7 +2013,7 @@ class Database:
         return entry.manager.load(tid, entry.schema)  # type: ignore[union-attr]
 
     def scan_chunks(
-        self, name: str, batch: int = 256
+        self, name: str, needed: Optional[frozenset] = None, batch: int = 256
     ) -> Optional[Iterator[tuple[int, dict[str, list]]]]:
         """Columnar batches of a flat table's current rows, or ``None``
         when the table shape (or the concurrency regime) wants the
@@ -2021,9 +2021,12 @@ class Database:
 
         Each batch is ``(row_count, {attribute: values})`` with rows in
         insertion (TID-list) order — the same order ``iterate_table``
-        yields, so results stay byte-identical.  Only offered without a
-        session: no locks are taken, which is exactly the single-user
-        statement model the row path has in that case too."""
+        yields, so results stay byte-identical — holding the attributes
+        in *needed* (all when ``None``).  A batch takes at least *batch*
+        rows and ends on a page boundary, so a scan pins each run of
+        same-page rows once.  Only offered without a session: no locks
+        are taken, which is exactly the single-user statement model the
+        row path has in that case too."""
         if is_sys_table(name):
             return None
         entry = self.catalog.table(name)
@@ -2038,9 +2041,15 @@ class Database:
         tids = list(entry.tids)
 
         def chunks() -> Iterator[tuple[int, dict[str, list]]]:
-            for start in range(0, len(tids), batch):
-                part = tids[start : start + batch]
-                yield len(part), heap.fetch_columns(part)
+            start, total = 0, len(tids)
+            while start < total:
+                stop = min(start + batch, total)
+                last_page = tids[stop - 1].page
+                while stop < total and tids[stop].page == last_page:
+                    stop += 1
+                part = tids[start:stop]
+                yield len(part), heap.fetch_columns(part, needed)
+                start = stop
 
         return chunks()
 

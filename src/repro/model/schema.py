@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional, Sequence, Union
 
 from repro.errors import SchemaError
@@ -99,11 +100,13 @@ class TableSchema:
     def attribute_names(self) -> tuple[str, ...]:
         return tuple(attr.name for attr in self.attributes)
 
-    @property
+    # cached: storage decode asks for these once per (sub)object it reads,
+    # and a frozen schema never changes them
+    @cached_property
     def atomic_attributes(self) -> tuple[AttributeSchema, ...]:
         return tuple(attr for attr in self.attributes if attr.is_atomic)
 
-    @property
+    @cached_property
     def table_attributes(self) -> tuple[AttributeSchema, ...]:
         return tuple(attr for attr in self.attributes if attr.is_table)
 

@@ -49,8 +49,8 @@ class TupleValue:
     def trusted(cls, schema: TableSchema, values: dict[str, Any]) -> "TupleValue":
         """Construct without per-attribute validation.
 
-        For engine-internal paths only (the compiled executor's columnar
-        scans and star projections — see ``query/compile.py``): *values*
+        For engine-internal paths only (heap tuple decode, the compiled
+        executor's columnar scans and star projections): *values*
         must already be schema-complete and validated, straight from
         storage decode or from another same-schema tuple.  The dict is
         adopted, not copied."""

@@ -20,8 +20,9 @@ Three further wins ride on the compiled shape (ROADMAP item 2):
 * **Columnar flat scans** — a single-range query over a stored flat
   table whose predicate/projection/order keys touch only first-level
   atomics runs over columnar chunks (``Database.scan_chunks`` +
-  ``HeapFile.fetch_columns``): one decode pass per batch, tuple objects
-  built only for qualifying rows via ``TupleValue.trusted``.
+  ``HeapFile.fetch_columns``): one pin per heap page, only the
+  referenced attributes decoded, tuple objects built only for qualifying
+  rows via ``TupleValue.trusted``.
 * **Lazy object decode** — NF2 candidates arrive as
   :class:`repro.storage.lazy.LazyTupleValue`; data subtuples of parts
   the residual predicate and projection never touch are never read.
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Optional
 
-from repro.errors import ExecutionError
+from repro.errors import CatalogError, ExecutionError
 from repro.model.schema import TableSchema
 from repro.model.values import TableValue, TupleValue
 from repro.obs import METRICS
@@ -403,34 +404,49 @@ def _compile_order_keys(
 
 class _ColumnarPlan:
     """Factories (per chunk: columns dict -> per-row callables) for a
-    single-range flat-table scan."""
+    single-range flat-table scan, and the attributes they read (``None``:
+    all of them) — the scan decodes no other column."""
 
-    __slots__ = ("pred_factory", "row_factory", "key_factory")
+    __slots__ = ("pred_factory", "row_factory", "key_factory", "needed")
 
-    def __init__(self, pred_factory, row_factory, key_factory):
+    def __init__(self, pred_factory, row_factory, key_factory, needed):
         self.pred_factory = pred_factory
         self.row_factory = row_factory
         self.key_factory = key_factory
+        self.needed = needed
 
 
-def _columnar_attr(expr: Any, var: str, atomic: set) -> Optional[str]:
-    if (
-        isinstance(expr, ast.Path)
-        and expr.var == var
-        and len(expr.steps) == 1
-        and expr.steps[0].name in atomic
-        and expr.steps[0].subscript is None
-    ):
-        return expr.steps[0].name
-    return None
+class _Columns:
+    """The range variable of a columnar scan and its first-level atomic
+    attributes; records every attribute the plan references."""
+
+    __slots__ = ("var", "atomic", "used")
+
+    def __init__(self, var: str, atomic: set):
+        self.var = var
+        self.atomic = atomic
+        self.used: set = set()
+
+    def attr(self, expr: Any) -> Optional[str]:
+        if (
+            isinstance(expr, ast.Path)
+            and expr.var == self.var
+            and len(expr.steps) == 1
+            and expr.steps[0].name in self.atomic
+            and expr.steps[0].subscript is None
+        ):
+            name = expr.steps[0].name
+            self.used.add(name)
+            return name
+        return None
 
 
-def _columnar_predicate(pred: ast.Predicate, var: str, atomic: set):
+def _columnar_predicate(pred: ast.Predicate, cols: _Columns):
     """``make(columns) -> test(i)`` for one predicate, or ``None`` when a
     sub-shape is not columnar (the whole plan then falls back to rows).
     Semantics mirror ``compare()``/``masked_match`` exactly."""
     if isinstance(pred, ast.BoolOp):
-        subs = [_columnar_predicate(p, var, atomic) for p in pred.operands]
+        subs = [_columnar_predicate(p, cols) for p in pred.operands]
         if any(s is None for s in subs):
             return None
         conjunctive = pred.op == "AND"
@@ -457,7 +473,7 @@ def _columnar_predicate(pred: ast.Predicate, var: str, atomic: set):
 
         return make_bool
     if isinstance(pred, ast.Not):
-        sub = _columnar_predicate(pred.operand, var, atomic)
+        sub = _columnar_predicate(pred.operand, cols)
         if sub is None:
             return None
 
@@ -467,7 +483,7 @@ def _columnar_predicate(pred: ast.Predicate, var: str, atomic: set):
 
         return make_not
     if isinstance(pred, ast.IsNull):
-        name = _columnar_attr(pred.subject, var, atomic)
+        name = cols.attr(pred.subject)
         if name is None:
             return None
         negated = pred.negated
@@ -478,7 +494,7 @@ def _columnar_predicate(pred: ast.Predicate, var: str, atomic: set):
 
         return make_isnull
     if isinstance(pred, ast.Contains):
-        name = _columnar_attr(pred.subject, var, atomic)
+        name = cols.attr(pred.subject)
         if name is None:
             return None
         search = _compile_mask(pred.pattern).search
@@ -496,8 +512,8 @@ def _columnar_predicate(pred: ast.Predicate, var: str, atomic: set):
 
         return make_contains
     if isinstance(pred, ast.Comparison):
-        left_name = _columnar_attr(pred.left, var, atomic)
-        right_name = _columnar_attr(pred.right, var, atomic)
+        left_name = cols.attr(pred.left)
+        right_name = cols.attr(pred.right)
         op = pred.op
         if left_name is not None and isinstance(pred.right, ast.Literal):
             return _columnar_leaf(left_name, op, pred.right.value)
@@ -583,7 +599,7 @@ def _columnar_leaf(name: str, op: str, value: Any):
     return make_ord
 
 
-def _columnar_projection(query: ast.Query, schema: TableSchema, var: str, atomic: set):
+def _columnar_projection(query: ast.Query, schema: TableSchema, cols: _Columns):
     trusted = TupleValue.trusted
     if query.select_star:
         names = list(schema.attribute_names)
@@ -601,7 +617,7 @@ def _columnar_projection(query: ast.Query, schema: TableSchema, var: str, atomic
     for attr, item in zip(schema.attributes, query.select):
         if attr.is_table:
             return None
-        name = _columnar_attr(item.expr, var, atomic)
+        name = cols.attr(item.expr)
         if name is not None:
             specs.append((attr.name, True, name))
         elif isinstance(item.expr, ast.Literal):
@@ -629,17 +645,17 @@ def _columnar_projection(query: ast.Query, schema: TableSchema, var: str, atomic
     return make
 
 
-def _columnar_keys(query: ast.Query, var: str, atomic: set):
+def _columnar_keys(query: ast.Query, cols: _Columns):
     names = []
     for item in query.order_by:
-        name = _columnar_attr(item.expr, var, atomic)
+        name = cols.attr(item.expr)
         if name is None:
             return None
         names.append(name)
 
     def make(columns):
-        cols = [columns[name] for name in names]
-        return lambda i: tuple(_sortable(col[i]) for col in cols)
+        keys = [columns[name] for name in names]
+        return lambda i: tuple(_sortable(col[i]) for col in keys)
 
     return make
 
@@ -659,26 +675,28 @@ def _compile_columnar(
         return None
     try:
         src_schema = executor._provider.table_schema(source.table)
-    except Exception:
+    except CatalogError:
         return None
     if src_schema is None or not src_schema.is_flat:
         return None
-    var = range_.var
-    atomic = {attr.name for attr in src_schema.attributes if attr.is_atomic}
+    cols = _Columns(
+        range_.var, {attr.name for attr in src_schema.attributes if attr.is_atomic}
+    )
     pred_factory = None
     if query.where is not None:
-        pred_factory = _columnar_predicate(query.where, var, atomic)
+        pred_factory = _columnar_predicate(query.where, cols)
         if pred_factory is None:
             return None
-    row_factory = _columnar_projection(query, schema, var, atomic)
+    row_factory = _columnar_projection(query, schema, cols)
     if row_factory is None:
         return None
     key_factory = None
     if query.order_by:
-        key_factory = _columnar_keys(query, var, atomic)
+        key_factory = _columnar_keys(query, cols)
         if key_factory is None:
             return None
-    return _ColumnarPlan(pred_factory, row_factory, key_factory)
+    needed = None if query.select_star else frozenset(cols.used)
+    return _ColumnarPlan(pred_factory, row_factory, key_factory, needed)
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +785,7 @@ class CompiledQuery:
             elif self.columnar is not None:
                 scan_chunks = getattr(provider, "scan_chunks", None)
                 if scan_chunks is not None:
-                    chunks = scan_chunks(r0.table)
+                    chunks = scan_chunks(r0.table, self.columnar.needed)
                     if chunks is not None:
                         return self._execute_columnar(ex, chunks, is_top)
         where_fn = self.where_fn

@@ -32,7 +32,7 @@ from repro.storage.minidirectory import (
 )
 from repro.storage.segment import Segment
 from repro.storage.subtuple import (
-    decode_data_subtuple,
+    data_layout,
     decode_root_md,
     encode_data_subtuple,
     encode_root_md,
@@ -426,11 +426,8 @@ class OpenObject:
         if METRICS.enabled:
             METRICS.inc("storage.data_subtuple_decodes")
         payload = self.space.read(element.data)
-        values = decode_data_subtuple(schema.attributes, payload)
-        return {
-            attr.name: value
-            for attr, value in zip(schema.atomic_attributes, values)
-        }
+        layout = data_layout(schema.attributes)
+        return dict(zip(layout.names, layout.decode(payload, 0, len(payload))))
 
     def materialize_element(
         self, schema: TableSchema, element: DecodedElement

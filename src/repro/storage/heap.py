@@ -13,7 +13,7 @@ from repro.model.schema import TableSchema
 from repro.model.values import TupleValue
 from repro.obs import METRICS
 from repro.storage.segment import Segment
-from repro.storage.subtuple import decode_data_subtuple, encode_data_subtuple
+from repro.storage.subtuple import data_layout, encode_data_subtuple
 from repro.storage.tid import TID
 
 
@@ -36,32 +36,34 @@ class HeapFile:
         payload = encode_data_subtuple(self.schema.attributes, value.atomic_values())
         return self._segment.insert_record(payload)
 
+    def _decode(self, payload: bytes) -> TupleValue:
+        layout = data_layout(self.schema.attributes)
+        values = layout.decode(payload, 0, len(payload))
+        # straight from storage decode: schema-complete and type-checked
+        return TupleValue.trusted(self.schema, dict(zip(layout.names, values)))
+
     def fetch(self, tid: TID) -> TupleValue:
         if METRICS.enabled:
             METRICS.inc("storage.heap_fetches")
-        payload = self._segment.read_record(tid)
-        values = decode_data_subtuple(self.schema.attributes, payload)
-        return TupleValue(
-            self.schema,
-            {attr.name: v for attr, v in zip(self.schema.attributes, values)},
-        )
+        return self._decode(self._segment.read_record(tid))
 
-    def fetch_columns(self, tids: list[TID]) -> dict[str, list]:
-        """One columnar batch: the attribute values of *tids* as parallel
-        lists, in TID order.  Feeds the compiled executor's chunked flat
-        scans (``Database.scan_chunks``); the per-row metric stays in step
-        with :meth:`fetch` so A/B comparisons read the same counters."""
+    def fetch_columns(
+        self, tids: list[TID], needed: Optional[frozenset] = None
+    ) -> dict[str, list]:
+        """One columnar batch: the values of *tids* as parallel per-attribute
+        lists, in TID order — only the attributes in *needed* (every one
+        when ``None``).  Feeds the compiled executor's chunked flat scans
+        (``Database.scan_chunks``).  Each run of TIDs on one page is read
+        under a single pin and decoded straight from the frame; the
+        per-row metric stays in step with :meth:`fetch` so A/B comparisons
+        read the same counters."""
         if METRICS.enabled:
             METRICS.inc("storage.heap_fetches", len(tids))
-        attributes = self.schema.attributes
-        read = self._segment.read_record
-        columns: dict[str, list] = {attr.name: [] for attr in attributes}
-        appends = [columns[attr.name].append for attr in attributes]
-        for tid in tids:
-            values = decode_data_subtuple(attributes, read(tid))
-            for append, value in zip(appends, values):
-                append(value)
-        return columns
+        names, decode = data_layout(self.schema.attributes).projection(needed)
+        rows = self._segment.decode_records(tids, decode)
+        if not rows:
+            return {name: [] for name in names}
+        return {name: list(column) for name, column in zip(names, zip(*rows))}
 
     def update(self, tid: TID, value: TupleValue) -> None:
         payload = encode_data_subtuple(self.schema.attributes, value.atomic_values())
@@ -74,11 +76,7 @@ class HeapFile:
         for tid, payload in self._segment.scan():
             if METRICS.enabled:
                 METRICS.inc("storage.heap_fetches")
-            values = decode_data_subtuple(self.schema.attributes, payload)
-            yield tid, TupleValue(
-                self.schema,
-                {attr.name: v for attr, v in zip(self.schema.attributes, values)},
-            )
+            yield tid, self._decode(payload)
 
     def count(self) -> int:
         return sum(1 for _ in self._segment.scan())

@@ -34,7 +34,6 @@ from repro.storage.address_space import MD_POOL, LocalAddressSpace
 from repro.storage.subtuple import (
     POINTER_C,
     POINTER_D,
-    decode_data_subtuple,
     decode_md_subtuple,
     encode_data_subtuple,
     encode_md_subtuple,

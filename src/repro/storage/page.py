@@ -40,6 +40,7 @@ from repro.storage.constants import (
 
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
+_SLOT = struct.Struct(">HH")
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +167,10 @@ class Page:
         return PAGE_SIZE - SLOT_ENTRY_SIZE * (slot + 1)
 
     def _slot_entry(self, slot: int) -> tuple[int, int]:
-        if slot >= self.slot_count or slot < 0:
+        buffer = self.buffer
+        if slot >= _U16.unpack_from(buffer, 0)[0] or slot < 0:
             raise RecordNotFoundError(f"slot {slot} out of range")
-        position = self._slot_position(slot)
-        return self._get_u16(position), self._get_u16(position + 2)
+        return _SLOT.unpack_from(buffer, PAGE_SIZE - SLOT_ENTRY_SIZE * (slot + 1))
 
     def _set_slot_entry(self, slot: int, offset: int, length: int) -> None:
         position = self._slot_position(slot)
@@ -226,13 +227,18 @@ class Page:
         self._set_live_records(self.live_records + 1)
         return free_slot
 
-    def read(self, slot: int) -> tuple[int, bytes]:
-        """Read a record: returns (flag, payload)."""
+    def span(self, slot: int) -> tuple[int, int, int]:
+        """Locate a record without copying it: returns ``(flag, start,
+        end)``, the payload being ``buffer[start:end]``."""
         offset, length = self._slot_entry(slot)
         if offset == 0:
             raise RecordNotFoundError(f"slot {slot} is empty")
-        flag = self.buffer[offset]
-        return flag, bytes(self.buffer[offset + 1:offset + length])
+        return self.buffer[offset], offset + 1, offset + length
+
+    def read(self, slot: int) -> tuple[int, bytes]:
+        """Read a record: returns (flag, payload)."""
+        flag, start, end = self.span(slot)
+        return flag, bytes(self.buffer[start:end])
 
     def update(self, slot: int, payload: bytes, flag: Optional[int] = None) -> None:
         """Replace a record in place, keeping its slot number.

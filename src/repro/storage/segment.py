@@ -14,7 +14,7 @@ already contain data of this complex object").
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import PageFullError, RecordNotFoundError, SegmentError
 from repro.storage.buffer import BufferManager
@@ -224,6 +224,42 @@ class Segment:
         if flag == FLAG_CHAIN:
             return self._read_chain(payload)
         return payload
+
+    def decode_records(self, tids: Sequence[TID], decode: Callable) -> list:
+        """``decode(buffer, start, end)`` of every record of *tids*, in
+        order, reading each run of TIDs on the same page under one pin.
+
+        Plain records are decoded straight from the frame; forward stubs
+        and chain heads are resolved by :meth:`read_record` after the last
+        page is unpinned, so the scan never holds two pins."""
+        out: list = []
+        detours: list[tuple[int, TID]] = []
+        buffer = self._buffer
+        pinned = None
+        try:
+            for tid in tids:
+                page_no, slot = tid
+                if page_no != pinned:
+                    if pinned is not None:
+                        buffer.unpin(pinned)
+                        pinned = None
+                    page = buffer.fetch(page_no)
+                    pinned = page_no
+                    frame = page.buffer
+                    span = page.span
+                flag, start, end = span(slot)
+                if flag == FLAG_NORMAL:
+                    out.append(decode(frame, start, end))
+                else:
+                    detours.append((len(out), tid))
+                    out.append(None)
+        finally:
+            if pinned is not None:
+                buffer.unpin(pinned)
+        for index, tid in detours:
+            payload = self.read_record(tid)
+            out[index] = decode(payload, 0, len(payload))
+        return out
 
     def _read_raw(self, tid: TID) -> tuple[int, bytes]:
         page = self._buffer.fetch(tid.page)

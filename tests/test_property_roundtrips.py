@@ -1,7 +1,9 @@
 """Property tests over *random* nested schemas and data: the whole stack
 (schema -> storage -> query) round-trips arbitrary extended-NF2 values."""
 
+import datetime
 import string
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,12 @@ from repro.storage.complex_object import ComplexObjectManager
 from repro.storage.minidirectory import StorageStructure
 from repro.storage.pagedfile import MemoryPagedFile
 from repro.storage.segment import Segment
+from repro.storage.subtuple import (
+    KIND_DATA,
+    data_layout,
+    decode_data_subtuple,
+    encode_data_subtuple,
+)
 
 # -- schema strategy -----------------------------------------------------------
 
@@ -112,6 +120,57 @@ def test_property_database_select_star_roundtrip(data):
     # SELECT * preserves contents; ordering matters iff the table is a list
     assert len(result) == len(expected)
     assert result.canonical()[1:] == expected.canonical()[1:]
+
+
+def _reference_decode(types, payload: bytes) -> tuple:
+    """A field-by-field model of the data-subtuple format: kind tag, NULL
+    bitmap (bit i = field i is NULL), then each present field in order."""
+    assert payload[0] == KIND_DATA
+    pos = 1 + (len(types) + 7) // 8
+    values = []
+    for index, type_ in enumerate(types):
+        if payload[1 + index // 8] & (1 << (index % 8)):
+            values.append(None)
+        elif type_ is AtomicType.STRING:
+            (length,) = struct.unpack_from(">H", payload, pos)
+            values.append(payload[pos + 2:pos + 2 + length].decode("utf-8"))
+            pos += 2 + length
+        else:
+            code = {"INT": ">q", "FLOAT": ">d", "BOOL": ">B", "DATE": ">I"}[type_.value]
+            (raw,) = struct.unpack_from(code, payload, pos)
+            pos += struct.calcsize(code)
+            if type_ is AtomicType.BOOL:
+                raw = raw != 0
+            elif type_ is AtomicType.DATE:
+                raw = datetime.date.fromordinal(raw)
+            values.append(raw)
+    assert pos == len(payload)
+    return tuple(values)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_property_compiled_decode_matches_reference(data):
+    types = data.draw(st.lists(st.sampled_from(list(AtomicType)), min_size=1, max_size=12))
+    attributes = tuple(atomic(f"A{i}", type_) for i, type_ in enumerate(types))
+    values = tuple(data.draw(_atom_strategy(type_)) for type_ in types)
+    payload = encode_data_subtuple(attributes, values)
+    expected = _reference_decode(types, payload)
+    layout = data_layout(attributes)
+    assert tuple(layout.decode(payload, 0, len(payload))) == expected
+    assert decode_data_subtuple(attributes, payload) == expected
+    # straight from a frame: the record sits between other bytes
+    before = data.draw(st.binary(max_size=9))
+    frame = bytearray(before + payload + data.draw(st.binary(max_size=9)))
+    start = len(before)
+    assert tuple(layout.decode(frame, start, start + len(payload))) == expected
+    # a pruned projection decodes the same values, only fewer of them
+    needed = frozenset(data.draw(st.sets(st.sampled_from(layout.names))))
+    names, decode = layout.projection(needed)
+    assert names == tuple(n for n in layout.names if n in needed)
+    assert tuple(decode(frame, start, start + len(payload))) == tuple(
+        value for name, value in zip(layout.names, expected) if name in needed
+    )
 
 
 @given(data=st.data())

@@ -68,6 +68,48 @@ def test_data_subtuple_arity_mismatch():
         encode_data_subtuple(ALL_TYPES.attributes, (1, 2))
 
 
+INT_STRING = table("T", atomic("N", "INT"), atomic("S", "STRING"))
+
+
+def test_decode_rejects_payload_cut_inside_a_string():
+    payload = encode_data_subtuple(INT_STRING.attributes, (1, "hello"))
+    assert decode_data_subtuple(INT_STRING.attributes, payload) == (1, "hello")
+    with pytest.raises(StorageError, match="truncated"):
+        decode_data_subtuple(INT_STRING.attributes, payload[:-2])
+
+
+def test_decode_rejects_payload_cut_inside_an_int():
+    payload = encode_data_subtuple(INT_STRING.attributes, (1, "hello"))
+    with pytest.raises(StorageError, match="truncated"):
+        decode_data_subtuple(INT_STRING.attributes, payload[:5])
+    # the same with a NULL in the row (the field-by-field path)
+    payload = encode_data_subtuple(ALL_TYPES.attributes, (7, None, "x", True, None))
+    with pytest.raises(StorageError, match="truncated"):
+        decode_data_subtuple(ALL_TYPES.attributes, payload[:5])
+
+
+def test_decode_rejects_trailing_garbage():
+    payload = encode_data_subtuple(INT_STRING.attributes, (1, "hello"))
+    with pytest.raises(StorageError, match="trailing"):
+        decode_data_subtuple(INT_STRING.attributes, payload + b"\x00\x01")
+    flat_ints = table("T", atomic("A", "INT"), atomic("B", "INT"))
+    payload = encode_data_subtuple(flat_ints.attributes, (1, 2))
+    with pytest.raises(StorageError, match="trailing"):
+        decode_data_subtuple(flat_ints.attributes, payload + b"\x00")
+
+
+def test_decode_rejects_corrupt_bytes():
+    payload = bytearray(encode_data_subtuple(INT_STRING.attributes, (1, "hi")))
+    payload[-1] = 0xFF  # not UTF-8
+    with pytest.raises(StorageError, match="corrupt"):
+        decode_data_subtuple(INT_STRING.attributes, bytes(payload))
+    date_only = table("T", atomic("D", "DATE"))
+    with pytest.raises(StorageError, match="corrupt"):
+        decode_data_subtuple(date_only.attributes, bytes([KIND_DATA, 0, 0, 0, 0, 0]))
+    with pytest.raises(StorageError):
+        decode_data_subtuple(INT_STRING.attributes, b"")
+
+
 def test_decode_wrong_kind_rejected():
     md = encode_md_subtuple([[(POINTER_D, MiniTID(0, 0))]])
     with pytest.raises(StorageError):
@@ -87,6 +129,13 @@ def test_md_subtuple_roundtrip():
     ]
     payload = encode_md_subtuple(groups)
     assert decode_md_subtuple(payload) == groups
+
+
+def test_md_subtuple_truncated_pointer_list_rejected():
+    payload = encode_md_subtuple([[(POINTER_D, MiniTID(0, 1)), (POINTER_C, MiniTID(0, 2))]])
+    for cut in (1, 2, 5):
+        with pytest.raises(StorageError):
+            decode_md_subtuple(payload[:-cut])
 
 
 def test_root_md_roundtrip_with_gaps():
