@@ -1,38 +1,32 @@
-"""Ablation A12 — pipelined async server vs thread-per-connection.
+"""Server ablation — pipelined vs round-trip clients on the async server.
 
-The PR 9 server rewrite keeps statement execution on threads (the
-``Session`` layer is unchanged) but moves connection handling onto an
-asyncio event loop with request **pipelining**: a client may write many
-statements before reading any reply; the per-connection responder
-executes whatever has queued up behind the head statement in one worker
-hop and ships the framed replies back in one coalesced write, strictly
-in order.  The thread-per-connection baseline forces one statement per
-round-trip.
+Connections live on an asyncio event loop; statements execute on a
+bounded worker pool against the ``Session`` layer.  A client may write
+many statements before reading any reply (**pipelining**): the
+per-connection responder executes whatever has queued up behind the head
+statement in one worker hop and ships the framed replies back in one
+coalesced write, strictly in order.
 
-Three measured arms, same workload (plan-cache-friendly indexed point
-SELECTs, 8 client *processes* so client-side work stays off the
+Two measured arms, same server and workload (plan-cache-friendly indexed
+point SELECTs, 8 client *processes* so client-side work stays off the
 server's GIL):
 
-* ``threaded / round-trip`` — the baseline engine, one statement per
-  round-trip.
-* ``async / round-trip`` — the new engine driven exactly like the old
-  one (reported: an unpipelined client pays the event-loop hop per
-  statement, so this arm trails the baseline — pipelining is where the
-  async engine earns its keep).
-* ``async / pipelined`` — the headline.  Must reach at least
-  ``REPRO_SERVER_MIN_SPEEDUP`` times the baseline throughput (default
-  ``1.0`` locally; CI pins ``1.2``).
+* ``round-trip`` — the baseline: one statement per round trip, so every
+  statement pays the socket write, the event-loop wake-up and the
+  loop-to-worker hop.
+* ``pipelined`` — the headline: batches of ``PIPELINE_BATCH``
+  statements per write.  Must reach at least ``REPRO_SERVER_MIN_SPEEDUP``
+  times the round-trip throughput (default ``1.0`` locally; CI pins
+  ``1.2``).
 
-Ceiling note: with 8 concurrent clients both servers are bounded by the
-engine's per-statement CPU cost (~200us for this workload after the
-statement-text parse cache), because the GIL serializes execution.  The
-pipelined arm measures at that raw ceiling — per-round-trip socket and
-thread-wakeup overhead (~100us/statement for the baseline) is fully
-amortized — which on this box is ~1.4x the baseline.  Ratios beyond
-that require the per-round-trip overhead to exceed the engine cost
-(real network RTTs, or a faster engine), not a better server.
+Ceiling note: with 8 concurrent clients the server is bounded by the
+engine's per-statement CPU cost, because the GIL serializes execution.
+The pipelined arm measures at that raw ceiling — per-round-trip socket
+and thread-wakeup overhead is amortized over the batch.  Ratios beyond
+it require the per-round-trip overhead to exceed the engine cost (real
+network RTTs, or a faster engine), not a better server.
 
-A fourth, reported-only section measures replication overhead: a
+A third, reported-only section measures replication overhead: a
 disk-backed primary takes a burst of INSERTs while a log-shipping
 replica tails it, and we report primary throughput plus the time for
 the replica to drain its lag to zero.
@@ -46,7 +40,7 @@ import os
 import time
 
 from repro.database import Database
-from repro.server import AsyncDatabaseServer, DatabaseServer
+from repro.server import AsyncDatabaseServer
 
 from _bench_utils import emit, emit_json
 
@@ -129,25 +123,20 @@ def _drive(host, port, pipelined):
     }
 
 
-def _measure(engine, pipelined):
+def _measure(pipelined):
     db = _build_db()
-    if engine == "async":
-        # admission sized to the offered load: this arm measures
-        # pipelining, not load shedding
-        server = AsyncDatabaseServer(
-            db, port=0, max_queue=CLIENTS * PIPELINE_BATCH + 16
-        )
-    else:
-        server = DatabaseServer(db, port=0)
+    # admission sized to the offered load: this ablation measures
+    # pipelining, not load shedding
+    server = AsyncDatabaseServer(
+        db, port=0, max_queue=CLIENTS * PIPELINE_BATCH + 16
+    )
     server.serve_background()
     host, port = server.address
     try:
         row = _drive(host, port, pipelined)
     finally:
         server.shutdown()
-        server.server_close()
         db.close()
-    row["engine"] = engine
     row["mode"] = "pipelined" if pipelined else "round-trip"
     return row
 
@@ -196,33 +185,29 @@ def test_server_ablation(tmp_path):
     # *per-round* ratio, not a ratio of bests from different moments
     rounds = []
     for _ in range(3):
-        base = _measure("threaded", pipelined=False)
-        head = _measure("async", pipelined=True)
+        base = _measure(pipelined=False)
+        head = _measure(pipelined=True)
         rounds.append(
             (head["stmts_per_s"] / base["stmts_per_s"], base, head)
         )
     speedup, baseline, headline = max(rounds, key=lambda r: r[0])
-    parity = _measure("async", pipelined=False)
     replication = _measure_replication(tmp_path)
-
-    parity_ratio = parity["stmts_per_s"] / baseline["stmts_per_s"]
 
     lines = [
         f"workload: {CLIENTS} client processes x {STATEMENTS_PER_CLIENT} "
         f"indexed point SELECTs ({DISTINCT_STATEMENTS} distinct texts) "
         f"over {ROWS} rows, pipeline batch {PIPELINE_BATCH}",
         "",
-        f"  {'engine':>8} {'mode':>11} {'stmts/s':>9} {'elapsed':>8}",
+        f"  {'mode':>11} {'stmts/s':>9} {'elapsed':>8}",
     ]
-    for row in (baseline, parity, headline):
+    for row in (baseline, headline):
         lines.append(
-            f"  {row['engine']:>8} {row['mode']:>11} "
-            f"{row['stmts_per_s']:>9} {row['elapsed_s']:>7}s"
+            f"  {row['mode']:>11} {row['stmts_per_s']:>9} "
+            f"{row['elapsed_s']:>7}s"
         )
     lines.append(
-        f"\nasync pipelined vs threaded round-trip: {speedup:.2f}x "
-        f"(floor: {MIN_SPEEDUP}x); async round-trip (unpipelined) "
-        f"ratio: {parity_ratio:.2f}x"
+        f"\npipelined vs round-trip: {speedup:.2f}x "
+        f"(floor: {MIN_SPEEDUP}x)"
     )
     lines.append(
         f"\nreplication: {replication['inserts']} inserts at "
@@ -240,16 +225,15 @@ def test_server_ablation(tmp_path):
             "pipeline_batch": PIPELINE_BATCH,
             "distinct_statements": DISTINCT_STATEMENTS,
             "rows": ROWS,
-            "arms": [baseline, parity, headline],
+            "arms": [baseline, headline],
             "round_ratios": [round(r[0], 3) for r in rounds],
             "replication": replication,
             "speedup_pipelined": round(speedup, 3),
-            "ratio_async_round_trip": round(parity_ratio, 3),
             "min_speedup": MIN_SPEEDUP,
         },
     )
 
     assert speedup >= MIN_SPEEDUP, (
-        f"pipelined async server reached only {speedup:.2f}x the "
-        f"thread-per-connection baseline (required {MIN_SPEEDUP}x)"
+        f"pipelined clients reached only {speedup:.2f}x the round-trip "
+        f"throughput (required {MIN_SPEEDUP}x)"
     )

@@ -66,7 +66,6 @@ from repro.query.executor import Executor
 from repro.query.parser import parse_statement
 from repro.query.planner import (
     candidate_roots,
-    candidate_roots_first_match,
     extract_condition_groups,
 )
 from repro.render import render_table
@@ -175,11 +174,6 @@ class Database:
         self.structure = structure
         #: set False to disable index-based access paths (benchmarks use it)
         self.use_access_paths = True
-        #: access-path selection strategy: ``"cost"`` (statistics-based,
-        #: the default) or ``"first-match"`` (the pre-cost-model baseline,
-        #: kept for A/B ablation — see benchmarks/test_ablation_planner.py
-        #: and docs/PLANNER.md)
-        self.planner_mode = "cost"
         #: execution engine: ``"compiled"`` (statements compile once into
         #: Python closures, flat scans batch into columnar chunks, complex
         #: objects decode lazily — the default; see docs/EXECUTOR.md) or
@@ -1772,14 +1766,9 @@ class Database:
                         "no matching index; "
                         f"{len(conditions)} indexable condition(s) found"
                     )
-                    if self.planner_mode == "first-match":
-                        roots, report = candidate_roots_first_match(
-                            entry, conditions
-                        )
-                    else:
-                        roots, report = candidate_roots(
-                            entry, conditions, order_by=order_by, groups=groups
-                        )
+                    roots, report = candidate_roots(
+                        entry, conditions, order_by=order_by, groups=groups
+                    )
                 if span is not None:
                     span.annotate(
                         access="index" if roots is not None else "full scan",

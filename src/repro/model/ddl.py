@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from typing import Iterator, NamedTuple, Optional
 
-from repro.errors import DDLError
+from repro.errors import DataError, DDLError
 from repro.model.schema import AttributeSchema, TableSchema, atomic, nested, table
 from repro.model.types import AtomicType
 
@@ -136,7 +136,7 @@ class _Parser:
         type_name = self._expect_ident()
         try:
             atomic_type = AtomicType.parse(type_name)
-        except Exception as exc:
+        except DataError as exc:
             raise DDLError(f"unknown type {type_name!r} for attribute {name!r}") from exc
         return atomic(name, atomic_type)
 

@@ -17,7 +17,7 @@ import datetime
 from dataclasses import dataclass
 from typing import Mapping, Optional, Protocol, Union
 
-from repro.errors import BindError
+from repro.errors import BindError, SchemaError
 from repro.model.schema import AttributeSchema, TableSchema, nested
 from repro.model.types import AtomicType
 from repro.query import ast
@@ -316,7 +316,7 @@ class Binder:
                     )
                 try:
                     attr = current.schema.attribute(step.name)
-                except Exception as exc:
+                except SchemaError as exc:
                     raise BindError(str(exc)) from exc
                 if attr.is_atomic:
                     current = AtomType(attr.atomic_type)

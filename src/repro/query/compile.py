@@ -27,10 +27,10 @@ Three further wins ride on the compiled shape (ROADMAP item 2):
   :class:`repro.storage.lazy.LazyTupleValue`; data subtuples of parts
   the residual predicate and projection never touch are never read.
 
-Statement shapes the compiler does not handle raise
-:class:`CompileError`; the executor falls back to the interpreter (the
-two engines are A/B comparable via ``db.exec_mode`` and must return
-byte-identical results — see tests/test_compile.py).
+Every statement the parser produces compiles; the interpreter stays the
+semantics reference (the two engines are A/B comparable via
+``db.exec_mode`` and must return byte-identical results — see
+tests/test_compile.py).
 """
 
 from __future__ import annotations
@@ -53,10 +53,6 @@ from repro.query.executor import (
 )
 
 
-class CompileError(Exception):
-    """The statement shape is not compilable — interpret instead."""
-
-
 #: sentinel: a join-candidate getter whose variable is not bound yet
 _SKIP = object()
 #: sentinel: variable absent from the environment before a loop bound it
@@ -69,7 +65,7 @@ def compile_query(executor: Executor, query: ast.Query) -> "CompiledQuery":
     """Compile *query* against the top-level scope.
 
     Binding errors propagate unchanged (they are user errors, identical
-    in both engines); :class:`CompileError` means "interpret this one".
+    in both engines).
     """
     schema = executor._result_schema(query, Scope())
     return CompiledQuery(executor, query, schema)
@@ -131,7 +127,7 @@ def _compile_expression(expr: ast.Expression) -> Callable[[Executor, dict], Any]
         # expression-position subquery: scope depends on the runtime env,
         # so binding happens per evaluation exactly as interpreted
         return lambda ex, env: ex._eval_expression(expr, env)
-    raise CompileError(f"unhandled expression {expr!r}")
+    raise ExecutionError(f"unhandled expression {expr!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +178,7 @@ def _compile_predicate(pred: ast.Predicate) -> Callable[[Executor, dict], bool]:
         right = _compile_expression(pred.right)
         op = pred.op
         return lambda ex, env: compare(op, left(ex, env), right(ex, env))
-    raise CompileError(f"unhandled predicate {pred!r}")
+    raise ExecutionError(f"unhandled predicate {pred!r}")
 
 
 def _and_all(

@@ -108,7 +108,7 @@ class Executor:
             int, tuple[ast.Query, TableSchema, int]
         ] = OrderedDict()
         # statement fingerprint (the hashable Query AST) -> (schema epoch,
-        # CompiledQuery or None for statements the compiler declined)
+        # CompiledQuery)
         self._compiled_cache: OrderedDict[ast.Query, tuple[int, Any]] = (
             OrderedDict()
         )
@@ -173,36 +173,27 @@ class Executor:
                     METRICS.inc("exec.columnar_chunks", report.columnar_chunks)
         return result
 
-    def _compiled(self, query: ast.Query) -> Optional[Any]:
+    def _compiled(self, query: ast.Query) -> Any:
         """The statement's compiled plan, from the fingerprint cache when
-        its schema epoch still matches; ``None`` when the statement shape
-        is one the compiler declines (the interpreter runs instead)."""
-        from repro.query.compile import CompileError, compile_query
+        its schema epoch still matches."""
+        from repro.query.compile import compile_query
 
         epoch = getattr(self._provider, "schema_epoch", 0)
         cache = self._compiled_cache
         try:
             entry = cache.get(query)
         except TypeError:  # unhashable literal somewhere in the AST
-            try:
-                return compile_query(self, query)
-            except CompileError:
-                return None
+            return compile_query(self, query)
         if entry is not None and entry[0] == epoch:
             cache.move_to_end(query)
             self._cache_state = "hit"
             if METRICS.enabled:
                 METRICS.inc("exec.compile_hits")
             return entry[1]
-        try:
-            plan = compile_query(self, query)
-        except CompileError:
-            plan = None
+        plan = compile_query(self, query)
         self._cache_state = "miss"
         if METRICS.enabled:
             METRICS.inc("exec.compiles")
-            if plan is None:
-                METRICS.inc("exec.compile_fallbacks")
         cache[query] = (epoch, plan)
         cache.move_to_end(query)
         while len(cache) > _COMPILED_CACHE_LIMIT:

@@ -594,109 +594,6 @@ def _index_hits(index, condition: IndexCondition) -> Iterator:
         yield from addresses
 
 
-# ---------------------------------------------------------------------------
-# first-match baseline (ablation only)
-# ---------------------------------------------------------------------------
-
-
-def candidate_roots_first_match(
-    entry: TableEntry, conditions: list[IndexCondition]
-) -> tuple[Optional[list[TID]], PlanReport]:
-    """The pre-cost-model planner, kept as an A/B ablation baseline
-    (``Database.planner_mode = 'first-match'``; see
-    ``benchmarks/test_ablation_planner.py``).
-
-    It reproduces the seed behaviour — and its bugs — faithfully: the
-    *first* index in catalog order whose attribute path matches wins
-    regardless of addressing mode or selectivity, a text index that
-    cannot narrow a CONTAINS pattern aborts the whole lookup, conjuncts
-    intersect in WHERE order without early exit, and the candidate list
-    is fully materialized before the first object is fetched.
-    """
-    report = PlanReport(used_indexes=[])
-    matched: list[tuple[IndexCondition, dict[TID, list[HierarchicalAddress]], bool]] = []
-    for condition in conditions:
-        hit = _first_match_lookup(entry, condition)
-        if hit is None:
-            continue
-        index_name, by_root, hierarchical = hit
-        report.used_indexes.append(index_name)
-        matched.append((condition, by_root, hierarchical))
-    if not matched:
-        return None, report
-    roots: Optional[set[TID]] = None
-    for _condition, by_root, _hierarchical in matched:
-        keys = set(by_root)
-        roots = keys if roots is None else roots & keys
-    assert roots is not None
-    for i in range(len(matched)):
-        for j in range(i + 1, len(matched)):
-            cond_a, by_a, hier_a = matched[i]
-            cond_b, by_b, hier_b = matched[j]
-            shared = _shared_binding(cond_a.binding, cond_b.binding)
-            if shared == 0 or not (hier_a and hier_b):
-                continue
-            report.prefix_joins += 1
-            roots = {
-                root
-                for root in roots
-                if any(
-                    a.shares_prefix(b, shared)
-                    for a in by_a.get(root, ())
-                    for b in by_b.get(root, ())
-                )
-            }
-    ordered = sorted(roots, key=lambda tid: (tid.page, tid.slot))
-    report.actual_candidates = len(ordered)
-    return ordered, report
-
-
-def _first_match_lookup(
-    entry: TableEntry, condition: IndexCondition
-) -> Optional[tuple[str, dict[TID, list[HierarchicalAddress]], bool]]:
-    """Seed-faithful lookup: first matching index in catalog order."""
-    if condition.kind in ("eq", "range"):
-        for name, index in entry.indexes.items():
-            if isinstance(index, FlatIndex):
-                if index.definition.attribute_path != condition.attribute_path:
-                    continue
-                by_root: dict[TID, list[HierarchicalAddress]] = {
-                    tid: [] for tid in _index_hits(index, condition)
-                }
-                return name, by_root, False
-            if not isinstance(index, NF2Index):
-                continue
-            if index.definition.attribute_path != condition.attribute_path:
-                continue
-            mode = index.definition.mode
-            if mode is AddressingMode.DATA_TID:
-                continue
-            by_root = {}
-            for address in _index_hits(index, condition):
-                if isinstance(address, HierarchicalAddress):
-                    by_root.setdefault(address.root, []).append(address)
-                else:
-                    by_root.setdefault(address, [])
-            return name, by_root, mode is AddressingMode.HIERARCHICAL
-        return None
-    for name, index in entry.indexes.items():
-        if not isinstance(index, TextIndex):
-            continue
-        if index.definition.attribute_path != condition.attribute_path:
-            continue
-        addresses = index.search(condition.value)
-        if addresses is None:
-            return None  # the seed bug: aborts instead of continuing
-        by_root = {}
-        for address in addresses:
-            if isinstance(address, HierarchicalAddress):
-                by_root.setdefault(address.root, []).append(address)
-            else:
-                by_root.setdefault(address, [])
-        return name, by_root, False
-    return None
-
-
 def _shared_binding(a: tuple[str, ...], b: tuple[str, ...]) -> int:
     shared = 0
     for x, y in zip(a, b):

@@ -10,22 +10,17 @@ The server opens the database once and hands every TCP connection its own
 statements under the hierarchical lock manager while sharing the buffer
 pool, the WAL, and the catalog.
 
-Two server engines speak the same protocol:
-
-* :class:`AsyncDatabaseServer` (the default) — an asyncio event loop
-  with **request pipelining**: each connection's reader accepts
-  statements as fast as the client sends them, a bounded worker pool
-  executes them (statements still run on threads against the ``Session``
-  layer, so locking semantics are unchanged), and responses are framed
-  back **in send order** per connection.  Admission control sheds load:
-  when more than ``--queue`` statements are outstanding server-wide, new
-  statements are answered immediately with an ``error: server
-  overloaded`` line instead of queueing without bound
-  (``server.queue_depth`` / ``server.rejected`` / ``server.requests``
-  metrics; queued time shows up as the ``Server/Queue`` wait event).
-* :class:`DatabaseServer` (``--threaded``) — the original
-  thread-per-connection :class:`socketserver.ThreadingTCPServer`, kept
-  as the ablation baseline (``benchmarks/test_ablation_server.py``).
+:class:`AsyncDatabaseServer` runs an asyncio event loop with **request
+pipelining**: each connection's reader accepts statements as fast as the
+client sends them, a bounded worker pool executes them (statements still
+run on threads against the ``Session`` layer, so locking semantics are
+unchanged), and responses are framed back **in send order** per
+connection.  Admission control sheds load: when more than ``--queue``
+statements are outstanding server-wide, new statements are answered
+immediately with an ``error: server overloaded`` line instead of
+queueing without bound (``server.queue_depth`` / ``server.rejected`` /
+``server.requests`` metrics; queued time shows up as the
+``Server/Queue`` wait event).
 
 Wire protocol (text, UTF-8, newline-framed — telnet/netcat friendly):
 
@@ -51,8 +46,7 @@ Wire protocol (text, UTF-8, newline-framed — telnet/netcat friendly):
   (see :mod:`repro.replication` and docs/REPLICATION.md).
 * ``REPLICATE <seq>`` is the log-shipping handshake sent by a replica's
   tailer, never by interactive clients: the connection leaves the
-  ``#<n>`` framing and becomes a JSON-lines stream of commit batches
-  (async server only).
+  ``#<n>`` framing and becomes a JSON-lines stream of commit batches.
 * The server answers with a header line ``#<n>`` followed by exactly
   *n* payload lines — the same text the shell would have printed.
   Errors are payload lines starting with ``error:``; the connection
@@ -76,7 +70,6 @@ import io
 import json
 import os
 import socket
-import socketserver
 import sys
 import threading
 import time
@@ -122,11 +115,7 @@ class _ClientState:
 def process_statement(
     db: Database, session: Session, state: _ClientState, line: str
 ) -> tuple[str, bool]:
-    """Run one protocol line; returns ``(payload, connection_stays_open)``.
-
-    Shared by both server engines so the threaded baseline and the async
-    pipeline answer byte-identically.
-    """
+    """Run one protocol line; returns ``(payload, connection_stays_open)``."""
     line = line.strip()
     if line.endswith(";"):
         line = line[:-1].strip()
@@ -241,75 +230,6 @@ def _hangup(session: Session, state: _ClientState) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The threaded baseline (ablation arm; kept protocol-identical)
-# ---------------------------------------------------------------------------
-
-
-class _Connection(socketserver.StreamRequestHandler):
-    """One client: a session plus an optional explicit transaction."""
-
-    server: "DatabaseServer"
-
-    def handle(self) -> None:
-        db = self.server.db
-        peer = "%s:%s" % self.client_address[:2]
-        session = db.session(name=f"client-{peer}")
-        state = _ClientState()
-        try:
-            for raw in self.rfile:
-                line = raw.decode("utf-8", errors="replace").strip()
-                if line.upper().startswith("REPLICATE"):
-                    self._reply(
-                        "error: REPLICATE needs the async server "
-                        "(run without --threaded)"
-                    )
-                    break
-                payload, keep = process_statement(db, session, state, line)
-                if not self._reply(payload) or not keep:
-                    break
-        finally:
-            _hangup(session, state)
-
-    def _reply(self, text: str) -> bool:
-        """Deliver one framed response; False when the client is gone —
-        the caller must hang up instead of executing further statements
-        for a dead peer."""
-        try:
-            self.wfile.write(_frame(text))
-            self.wfile.flush()
-            return True
-        except OSError:  # client went away mid-reply
-            return False
-
-
-class DatabaseServer(socketserver.ThreadingTCPServer):
-    """Thread-per-connection TCP server owning one :class:`Database`.
-
-    The pre-pipelining engine: one blocking statement per round trip.
-    Kept as the A/B baseline — ``python -m repro.server --threaded``.
-    """
-
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, db: Database, host: str = "127.0.0.1", port: int = 7474):
-        self.db = db
-        super().__init__((host, port), _Connection)
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self.server_address[:2]
-
-    def serve_background(self) -> threading.Thread:
-        """Run :meth:`serve_forever` on a daemon thread (for tests)."""
-        thread = threading.Thread(
-            target=self.serve_forever, name="repro-server", daemon=True
-        )
-        thread.start()
-        return thread
-
-
-# ---------------------------------------------------------------------------
 # The async pipelined server
 # ---------------------------------------------------------------------------
 
@@ -401,9 +321,6 @@ class AsyncDatabaseServer:
                 pass
         if self._thread is not None and self._thread is not threading.current_thread():
             self._thread.join(timeout=10)
-
-    def server_close(self) -> None:
-        """socketserver API parity — everything closes in :meth:`shutdown`."""
 
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
@@ -711,10 +628,9 @@ class LineClient:
     def pipeline(self, statements) -> list[str]:
         """Send a batch of statements before reading any response.
 
-        Against the async server the whole batch costs one round trip;
-        responses come back in statement order.  Keep batches under the
-        server's admission bound or the tail gets ``error: server
-        overloaded`` replies.
+        The whole batch costs one round trip; responses come back in
+        statement order.  Keep batches under the server's admission bound
+        or the tail gets ``error: server overloaded`` replies.
         """
         statements = list(statements)
         for statement in statements:
@@ -757,15 +673,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--replica-of", default=None, metavar="HOST:PORT",
                         help="serve a read-only replica tailing this "
                              "primary's WAL (PROMOTE fails it over)")
-    parser.add_argument("--threaded", action="store_true",
-                        help="legacy thread-per-connection engine "
-                             "(one blocking statement per round trip; "
-                             "the ablation baseline)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="async engine: statement worker threads "
+                        help="statement worker threads "
                              "(default: min(8, cpus))")
     parser.add_argument("--queue", type=int, default=128,
-                        help="async engine: admission-control bound on "
+                        help="admission-control bound on "
                              "outstanding statements (default 128)")
     parser.add_argument("--monitor", action="store_true",
                         help="start the metric time-series recorder and "
@@ -775,8 +687,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.replica_of:
-        if args.threaded:
-            parser.error("--replica-of needs the async engine (drop --threaded)")
         from repro.replication import open_replica
 
         db = open_replica(args.replica_of, path=args.database)
@@ -792,38 +702,27 @@ def main(argv: Optional[list[str]] = None) -> int:
         METRICS.enable()
         db.slo.install_default_objectives()
         db.ts.start()
-    if args.threaded:
-        server: "DatabaseServer | AsyncDatabaseServer" = DatabaseServer(
-            db, host=args.host, port=args.port
-        )
-    else:
-        server = AsyncDatabaseServer(
-            db,
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            max_queue=args.queue,
-        )
-        # bind before announcing (serve_forever binds lazily)
-        server.serve_background()
+    server = AsyncDatabaseServer(
+        db,
+        host=args.host,
+        port=args.port,
+        workers=args.workers,
+        max_queue=args.queue,
+    )
+    # bind before announcing (serve_forever binds lazily)
+    thread = server.serve_background()
     host, port = server.address
-    engine = "threaded" if args.threaded else "async"
     print(
         f"serving {args.database or 'in-memory database'} "
-        f"({role}, {engine}) on {host}:{port}",
+        f"({role}) on {host}:{port}",
         flush=True,
     )
     try:
-        if args.threaded:
-            server.serve_forever()
-        else:
-            assert isinstance(server, AsyncDatabaseServer)
-            server._thread.join()
+        thread.join()
     except KeyboardInterrupt:
         pass
     finally:
         server.shutdown()
-        server.server_close()
         if args.database and not db.read_only:
             db.save()
         db.close()

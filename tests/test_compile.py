@@ -80,6 +80,9 @@ PARITY_QUERIES = [
     # nested sub-SELECT output attributes
     "SELECT x.DNO, (SELECT y.PNO FROM y IN x.PROJECTS WHERE y.PNO > 11) "
     "AS BIG FROM x IN DEPARTMENTS ORDER BY x.DNO",
+    # expression-position subquery (an aggregate's argument)
+    "SELECT x.DNO, COUNT((SELECT y.PNO FROM y IN x.PROJECTS "
+    "WHERE y.PNO > 11)) AS N FROM x IN DEPARTMENTS ORDER BY x.DNO",
     # quantifiers
     "SELECT x.DNO FROM x IN DEPARTMENTS "
     "WHERE EXISTS y IN x.PROJECTS: y.PNO = 17",
@@ -88,6 +91,9 @@ PARITY_QUERIES = [
     "SELECT x.DNO FROM x IN DEPARTMENTS "
     "WHERE EXISTS y IN x.PROJECTS EXISTS z IN y.MEMBERS "
     "z.FUNCTION = 'Consultant'",
+    # negation
+    "SELECT e.ENAME FROM e IN EMP "
+    "WHERE NOT (e.SAL > 40000 OR e.DEPT = 'd2') ORDER BY e.ENAME",
     # CONTAINS / IS NULL
     "SELECT m.EMPNO FROM m IN MEMBERS-1NF WHERE m.FUNCTION CONTAINS 'Cons*t'",
     "SELECT e.ENAME FROM e IN EMP WHERE e.SAL IS NOT NULL",

@@ -515,9 +515,9 @@ def test_concurrent_crash_recovers_only_committed_work(tmp_path):
 
 
 def _start_server(db):
-    from repro.server import DatabaseServer
+    from repro.server import AsyncDatabaseServer
 
-    server = DatabaseServer(db, port=0)
+    server = AsyncDatabaseServer(db, port=0)
     server.serve_background()
     return server
 
@@ -541,7 +541,6 @@ def test_server_two_clients_share_one_database():
             assert "affected" in a.send("DELETE FROM T x WHERE x.ID = 7")
     finally:
         server.shutdown()
-        server.server_close()
 
 
 def test_server_transactions_roll_back_on_disconnect():
@@ -571,7 +570,6 @@ def test_server_transactions_roll_back_on_disconnect():
         assert len(db.query("SELECT x.ID FROM x IN T WHERE x.ID = 43").rows) == 1
     finally:
         server.shutdown()
-        server.server_close()
 
 
 def test_lock_metrics_exported():

@@ -544,10 +544,10 @@ def test_shell_transactions_command(capsys=None):
 
 
 def test_server_begin_snapshot():
-    from repro.server import DatabaseServer, LineClient
+    from repro.server import AsyncDatabaseServer, LineClient
 
     db = make_db()
-    server = DatabaseServer(db, port=0)
+    server = AsyncDatabaseServer(db, port=0)
     server.serve_background()
     host, port = server.address
     try:
@@ -558,5 +558,4 @@ def test_server_begin_snapshot():
             assert "error" in client.send("BEGIN BOGUS")
     finally:
         server.shutdown()
-        server.server_close()
         db.close()

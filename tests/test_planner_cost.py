@@ -3,9 +3,9 @@
 Covers the three access-path bugs fixed alongside the cost model:
 
 * index *preference* — with a ROOT_TID and a HIERARCHICAL index on the
-  same attribute path, the first-match planner let catalog (dict) order
-  decide and could silently lose prefix joins; the cost model prefers
-  HIERARCHICAL at equal selectivity;
+  same attribute path, catalog (dict) order used to decide and could
+  silently lose prefix joins; the cost model prefers HIERARCHICAL at
+  equal selectivity;
 * CONTAINS fallback — a text index that could not narrow the pattern
   aborted the whole lookup instead of letting another text index answer;
 * ``_sortable`` collapsed ``datetime.datetime`` to ``toordinal()``,
@@ -13,7 +13,8 @@ Covers the three access-path bugs fixed alongside the cost model:
 
 Plus the new machinery: range-probe bound inclusivity through
 ``_index_hits``, ascending-selectivity intersection with early exit,
-ORDER BY sort elision, and statistics persistence.
+ORDER BY sort elision, statistics persistence, and the Section 4.2
+workload plans at 48 departments.
 """
 
 import datetime
@@ -23,7 +24,7 @@ import pytest
 
 from repro import obs
 from repro.database import Database
-from repro.datasets import paper
+from repro.datasets import DepartmentsGenerator, paper
 from repro.index.addresses import AddressingMode, address_root
 from repro.index.manager import IndexDefinition, NF2Index
 from repro.obs import METRICS
@@ -79,35 +80,18 @@ def test_hierarchical_preferred_over_root_tid_on_same_path():
     assert plan.prefix_joins == 1
 
 
-def test_first_match_baseline_reproduces_the_shadowing_bug():
-    """The ablation baseline pins the seed behaviour the fix removes."""
-    db = make_shadowed_db()
-    db.planner_mode = "first-match"
-    result = db.query(PREFIX_JOIN_SQL)
-    assert result.column("DNO") == [314]  # re-verification saves correctness
-    plan = db.last_plan
-    assert plan is not None
-    assert set(plan.used_indexes) == {"FN_ROOT", "PN_ROOT"}
-    assert plan.prefix_joins == 0  # the structural information was lost
-
-
-def test_cost_plan_prunes_more_candidates_than_first_match():
+def test_prefix_join_prunes_cross_project_false_positive():
     db = make_shadowed_db()
     # dept 314 has PNO 23 and a consultant — but in *different* projects:
     # the prefix join (hierarchical addresses) rejects it on index
-    # information alone, while ROOT_TID intersection must fetch it.
+    # information alone, while ROOT_TID intersection would fetch it.
     sql = (
         "SELECT x.DNO FROM x IN DEPARTMENTS "
         "WHERE EXISTS y IN x.PROJECTS "
         "(y.PNO = 23 AND EXISTS z IN y.MEMBERS z.FUNCTION = 'Consultant')"
     )
     assert len(db.query(sql)) == 0
-    cost_candidates = db.last_plan.actual_candidates
-    db.planner_mode = "first-match"
-    assert len(db.query(sql)) == 0  # re-verification saves correctness
-    first_match_candidates = db.last_plan.actual_candidates
-    assert cost_candidates == 0
-    assert first_match_candidates == 1  # the false positive was fetched
+    assert db.last_plan.actual_candidates == 0
 
 
 # ---------------------------------------------------------------------------
@@ -134,18 +118,6 @@ def test_contains_falls_through_to_narrowing_text_index():
     assert result.column("REPNO") == ["0179"]
     plan = db.last_plan
     assert plan is not None and plan.used_indexes == ["TX3"]
-
-
-def test_first_match_baseline_reproduces_the_contains_abort():
-    db = make_reports_db()
-    db.create_text_index("TX_LONG", "REPORTS", "TITLE", fragment_length=8)
-    db.create_text_index("TX3", "REPORTS", "TITLE", fragment_length=3)
-    db.planner_mode = "first-match"
-    result = db.query(
-        "SELECT x.REPNO FROM x IN REPORTS WHERE x.TITLE CONTAINS '*consist*'"
-    )
-    assert result.column("REPNO") == ["0179"]  # the scan still answers
-    assert db.last_plan is None  # ...but no index plan was made
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +273,84 @@ def test_intersection_reports_actual_candidates():
     assert plan is not None
     assert plan.actual_candidates == 1
     assert plan.early_exit is False
+
+
+# ---------------------------------------------------------------------------
+# the Section 4.2 workload at 48 departments
+# ---------------------------------------------------------------------------
+
+
+SECTION42_QUERIES = {
+    # conjunction anchored in one project: the prefix-join query
+    "prefix_join": (
+        "SELECT x.DNO FROM x IN DEPARTMENTS "
+        "WHERE EXISTS y IN x.PROJECTS "
+        "(y.PNO = 12 AND EXISTS z IN y.MEMBERS z.FUNCTION = 'Consultant')"
+    ),
+    # a zero-hit equality, written after the broad one, kills the
+    # intersection before the FUNCTION index is probed
+    "early_exit": (
+        "SELECT x.DNO FROM x IN DEPARTMENTS "
+        "WHERE EXISTS y IN x.PROJECTS EXISTS z IN y.MEMBERS "
+        "z.FUNCTION = 'Consultant' AND x.BUDGET = 1"
+    ),
+    "point": "SELECT x.DNO FROM x IN DEPARTMENTS WHERE x.DNO = 101",
+}
+
+
+def make_section42_db():
+    """48 generated departments; ROOT_TID indexes registered *before*
+    their HIERARCHICAL twins, plus BUDGET and DNO indexes."""
+    db = Database(buffer_capacity=2048)
+    db.create_table(paper.DEPARTMENTS_SCHEMA)
+    workload = DepartmentsGenerator(
+        departments=48, projects_per_department=3, members_per_project=4,
+        consultant_share=0.08, seed=77,
+    )
+    db.insert_many("DEPARTMENTS", workload.rows())
+    db.create_index(
+        "PN_ROOT", "DEPARTMENTS", "PROJECTS.PNO",
+        mode=AddressingMode.ROOT_TID,
+    )
+    db.create_index(
+        "FN_ROOT", "DEPARTMENTS", "PROJECTS.MEMBERS.FUNCTION",
+        mode=AddressingMode.ROOT_TID,
+    )
+    db.create_index("PN_HIER", "DEPARTMENTS", "PROJECTS.PNO")
+    db.create_index("FN_HIER", "DEPARTMENTS", "PROJECTS.MEMBERS.FUNCTION")
+    db.create_index("BUD", "DEPARTMENTS", "BUDGET")
+    db.create_index("DN", "DEPARTMENTS", "DNO")
+    return db
+
+
+def test_section42_workload_plans():
+    db = make_section42_db()
+    plans = {}
+    METRICS.clear()  # the registry is process-global
+    with obs.profiled(tracing=False):
+        for name, sql in SECTION42_QUERIES.items():
+            before = METRICS.counter("index.probes").total
+            rows = db.query(sql).column("DNO")
+            plan = db.last_plan
+            # an index answer exists for every query: a scan is a regression
+            assert plan is not None and plan.used_any, name
+            probes = METRICS.counter("index.probes").total - before
+            plans[name] = (plan, rows, probes)
+    METRICS.clear()
+
+    plan, rows, _ = plans["prefix_join"]
+    assert plan.actual_candidates == 7
+    assert set(plan.used_indexes) == {"PN_HIER", "FN_HIER"}
+    assert plan.prefix_joins == 1
+    assert plan.actual_candidates == len(rows)
+
+    plan, rows, probes = plans["early_exit"]
+    assert plan.actual_candidates == 0 and rows == []
+    assert plan.early_exit is True
+    assert probes == 1
+
+    plan, rows, _ = plans["point"]
+    assert plan.actual_candidates == 1 and rows == [101]
 
 
 # ---------------------------------------------------------------------------

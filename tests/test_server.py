@@ -1,4 +1,4 @@
-"""Wire-protocol tests for both server engines (PR 9).
+"""Wire-protocol tests for the server.
 
 Covers the async pipelined server (ordering, admission control, the
 ``Server/Queue`` wait event) and the protocol regressions fixed in this
@@ -16,12 +16,7 @@ import pytest
 from repro import obs
 from repro.concurrency import LockMode
 from repro.database import Database
-from repro.server import (
-    AsyncDatabaseServer,
-    DatabaseServer,
-    LineClient,
-    _frame,
-)
+from repro.server import AsyncDatabaseServer, LineClient, _frame
 
 
 def _make_db():
@@ -30,21 +25,16 @@ def _make_db():
     return db
 
 
-@pytest.fixture(params=["async", "threaded"])
+@pytest.fixture(params=["async"])
 def served(request):
-    """One in-memory database behind either server engine."""
+    """One in-memory database behind the server."""
     db = _make_db()
-    if request.param == "async":
-        server = AsyncDatabaseServer(db, port=0)
-        server.serve_background()
-    else:
-        server = DatabaseServer(db, port=0)
-        server.serve_background()
+    server = AsyncDatabaseServer(db, port=0)
+    server.serve_background()
     try:
         yield db, server
     finally:
         server.shutdown()
-        server.server_close()
         db.close()
 
 
@@ -221,27 +211,6 @@ def test_pipelined_responses_come_back_in_order():
         db.close()
 
 
-def test_pipeline_works_on_threaded_server_too():
-    # the baseline engine is slower (one statement per loop turn) but
-    # must not corrupt a pipelined stream
-    db = _make_db()
-    server = DatabaseServer(db, port=0)
-    server.serve_background()
-    host, port = server.address
-    try:
-        with LineClient(host, port) as client:
-            replies = client.pipeline(
-                [f"INSERT INTO T VALUES ({i}, 'x')" for i in range(5)]
-                + ["SELECT t.ID FROM t IN T WHERE t.ID = 3"]
-            )
-            assert all("affected" in r for r in replies[:5])
-            assert "3" in replies[5]
-    finally:
-        server.shutdown()
-        server.server_close()
-        db.close()
-
-
 # -- admission control -----------------------------------------------------
 
 
@@ -318,21 +287,6 @@ def test_server_queue_metrics_and_wait_on_normal_load():
 
 
 # -- replication handshake guards -----------------------------------------
-
-
-def test_threaded_server_refuses_replicate():
-    db = _make_db()
-    server = DatabaseServer(db, port=0)
-    server.serve_background()
-    host, port = server.address
-    try:
-        with LineClient(host, port) as client:
-            reply = client.send("REPLICATE 0")
-            assert "error" in reply and "async" in reply
-    finally:
-        server.shutdown()
-        server.server_close()
-        db.close()
 
 
 def test_async_server_refuses_replicate_without_wal():

@@ -438,10 +438,10 @@ def test_render_health_ok_database():
 
 def test_health_verb_and_alerts_over_tcp_while_workload_runs():
     """HEALTH + SYS.ALERTS answer over TCP while other clients churn."""
-    from repro.server import DatabaseServer, LineClient
+    from repro.server import AsyncDatabaseServer, LineClient
 
     db = _fired_db()
-    server = DatabaseServer(db, port=0)
+    server = AsyncDatabaseServer(db, port=0)
     server.serve_background()
     host, port = server.address
     stop = threading.Event()
@@ -478,7 +478,6 @@ def test_health_verb_and_alerts_over_tcp_while_workload_runs():
         for w in workers:
             w.join(timeout=10)
         server.shutdown()
-        server.server_close()
         db.close()
     assert not worker_errors
 

@@ -570,9 +570,9 @@ def test_shell_metrics_export(tmp_path):
 
 
 def _start_server(db):
-    from repro.server import DatabaseServer
+    from repro.server import AsyncDatabaseServer
 
-    server = DatabaseServer(db, port=0)
+    server = AsyncDatabaseServer(db, port=0)
     server.serve_background()
     return server
 
@@ -631,7 +631,6 @@ def test_sys_metrics_over_tcp_while_other_sessions_run():
         for w in workers:
             w.join(timeout=10)
         server.shutdown()
-        server.server_close()
     assert worker_errors == []
     # tracer-stack integrity: every finished statement trace is a tree
     # rooted at "statement" with exactly one parse child
@@ -659,7 +658,6 @@ def test_sys_queries_over_tcp_shows_other_sessions():
             assert "SELECT" in out
     finally:
         server.shutdown()
-        server.server_close()
 
 
 # ---------------------------------------------------------------------------

@@ -430,11 +430,12 @@ def test_lock_wait_attributed_end_to_end_over_tcp():
     (1) in B's ``waits:`` section, (2) as a waiting SYS.ASH sample, and
     (3) as a ``Lock/*`` wait span in the retained trace fetched by id
     from SYS.TRACES / SYS.SPANS and exported via TRACE EXPORT."""
-    from repro.server import DatabaseServer, LineClient
+    from repro.server import AsyncDatabaseServer, LineClient
 
     db = make_paper_db()
     db.ash.start()
-    server = DatabaseServer(db, port=0)
+    # B parks a worker on A's lock; A's COMMIT needs a second worker
+    server = AsyncDatabaseServer(db, port=0, workers=2)
     server.serve_background()
     host, port = server.address
     trace_id = "cafe0123cafe0123"
@@ -519,5 +520,4 @@ def test_lock_wait_attributed_end_to_end_over_tcp():
             assert b.send("TRACE such id!").startswith("error")
     finally:
         server.shutdown()
-        server.server_close()
         db.ash.stop()
