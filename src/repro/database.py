@@ -67,6 +67,7 @@ from repro.query.parser import parse_statement
 from repro.query.planner import (
     candidate_roots,
     extract_condition_groups,
+    join_conjuncts,
 )
 from repro.render import render_table
 from repro.storage.buffer import BufferManager
@@ -1335,6 +1336,7 @@ class Database:
             statement.where,
             planned=index == 0,
             order_by=self._order_pushdown_path(statement, range_.var),
+            outer=frozenset(r.var for r in statement.ranges[:index]),
         )
 
     def _access_lines(
@@ -1343,11 +1345,13 @@ class Database:
         where: Optional[ast.Predicate],
         planned: bool,
         order_by: Optional[tuple[str, ...]] = None,
+        outer: frozenset = frozenset(),
     ) -> list[str]:
         """The access path chosen for one range variable.  *planned*
         ranges (a query's first range, every stored range of a DML
         statement) go through :meth:`_plan_roots`; a query's inner table
-        ranges may run as index nested loops instead."""
+        ranges may run as index nested loops on the variables of the
+        *outer* loops instead."""
         source = range_.source
         if source.table is None:
             assert source.path is not None
@@ -1405,51 +1409,20 @@ class Database:
                 )
             return lines
         # inner table range: index nested loops when an equality conjunct
-        # binds one of its top-level attributes through an index
-        index_name = self._join_index_name(entry, where, range_.var)
-        if index_name is not None:
-            return [f"  access: index nested loops ({index_name})"]
-        return ["  access: full scan (re-scanned per outer binding)"]
-
-    def _join_index_name(
-        self,
-        entry: TableEntry,
-        where: Optional[ast.Predicate],
-        var: str,
-    ) -> Optional[str]:
-        """The index :meth:`lookup_rows` would answer an inner range's
-        equality conjunct through, or ``None``."""
-        if where is None or not self.use_access_paths:
-            return None
-        from repro.query.planner import _flatten_and
-
-        conjuncts = _flatten_and(where)
-        if conjuncts is None:
-            return None
-        for conjunct in conjuncts:
-            if not (isinstance(conjunct, ast.Comparison) and conjunct.op == "="):
-                continue
-            for mine in (conjunct.left, conjunct.right):
-                if not (
-                    isinstance(mine, ast.Path)
-                    and mine.var == var
-                    and len(mine.attribute_names) == 1
-                    and not mine.has_subscript
-                ):
+        # ties one of its top-level attributes to a literal or to a range
+        # an earlier loop binds — what the executors probe at run time
+        for attribute, other in join_conjuncts(where, range_.var):
+            if isinstance(other, ast.Path):
+                if other.var not in outer:
                     continue
-                attribute = mine.attribute_names[0]
-                for index in entry.indexes.values():
-                    if isinstance(index, TextIndex):
-                        continue
-                    if index.definition.attribute_path != (attribute,):
-                        continue
-                    if (
-                        not isinstance(index, FlatIndex)
-                        and index.definition.mode is AddressingMode.DATA_TID
-                    ):
-                        continue
-                    return index.definition.name
-        return None
+            elif other.value is None:
+                continue  # NULL equals nothing: the executors scan
+            index = self._join_index(entry, attribute)
+            if index is not None:
+                return [
+                    f"  access: index nested loops ({index.definition.name})"
+                ]
+        return ["  access: full scan (re-scanned per outer binding)"]
 
     def _execute_explain(
         self, statement: ast.ExplainStatement, parse_ms: float
@@ -1720,7 +1693,7 @@ class Database:
         )
         lazy = self.exec_mode == "compiled"
         if roots is not None:
-            return self._stream_candidates(entry, name, roots, lazy)
+            return self._stream_roots(entry, roots, lazy)
         return self.iterate_table(name, asof, lazy=lazy)
 
     def _plan_roots(
@@ -1799,35 +1772,38 @@ class Database:
             report.settled = []
         return roots, ""
 
-    def _stream_candidates(
-        self, entry: TableEntry, name: str, roots: Iterable[TID], lazy: bool
+    def _stream_roots(
+        self, entry: TableEntry, roots: Optional[Iterable[TID]], lazy: bool
     ) -> Iterator[TupleValue]:
-        """Fetch planner candidates under the session's concurrency regime
-        (MVCC snapshot visibility probe, or per-object 2PL S-locks)."""
+        """The current rows of *entry* under the reader's concurrency
+        regime — every read of current rows (full scans, planner
+        candidates, join probes) goes through here.  *roots* are the
+        candidate root TIDs, or ``None`` for the whole table.
+
+        Under an MVCC snapshot the read is lock-free: the index may
+        surface dead or uncommitted versions (deindexing is deferred to
+        GC), and the visibility probe filters them; rows are fetched
+        eagerly.  Otherwise each root object (the paper's local address
+        space) is S-locked as it streams out; the wait may block behind a
+        writer, so currency is re-checked after the grant."""
         snapshot = self._read_snapshot(entry)
         if snapshot is not None:
-            # lock-free: the index may surface dead or uncommitted
-            # versions (deindexing is deferred to GC); the snapshot
-            # visibility probe filters them
-            for tid in roots:
-                if _mvcc_read.tid_visible(entry, snapshot, tid):
-                    yield self._fetch(entry, tid)
+            if roots is None:
+                visible = _mvcc_read.snapshot_roots(entry, snapshot)
+            else:
+                visible = (
+                    tid
+                    for tid in roots
+                    if _mvcc_read.tid_visible(entry, snapshot, tid)
+                )
+            for tid in visible:
+                yield self._fetch(entry, tid)
             return
-        self._lock_table(name, LockMode.IS)
-        lazy = (
-            lazy and not entry.is_flat and entry.temporal_manager is None
-        )
-        current = set(entry.tids)
-        for tid in roots:
-            if tid in current:
-                # S-lock each candidate object (the paper's local
-                # address space = one root TID) as it streams out
-                # of the planner; the wait may block behind a
-                # writer, so re-check currency afterwards
-                self._lock_object(name, tid, LockMode.S)
-                if tid not in entry.tids:
-                    continue
-                yield self._fetch(entry, tid, lazy=lazy)
+        self._lock_table(entry.name, LockMode.IS)
+        for tid in list(entry.tids) if roots is None else roots:
+            self._lock_object(entry.name, tid, LockMode.S)
+            if tid in entry.tids:
+                yield self._fetch(entry, tid, lazy)
 
     @staticmethod
     def _order_pushdown_path(
@@ -1860,20 +1836,37 @@ class Database:
         top-level *attribute* equals *value*, answered through an index —
         ``None`` when no suitable index exists (callers scan).  The rows
         stream out of a generator (the probe itself is a point lookup; the
-        object fetches happen lazily as the join loop advances)."""
-        if not self.use_access_paths or is_sys_table(name):
+        objects are fetched, eagerly decoded, as the join loop advances)."""
+        if is_sys_table(name):
             return None
         entry = self.catalog.table(name)
-        for index in entry.indexes.values():
-            if isinstance(index, TextIndex):
-                continue
+        index = self._join_index(entry, attribute)
+        if index is None:
+            return None
+        if isinstance(index, FlatIndex):
+            roots = index.search(value)
+        else:
+            roots = index.roots_for(value)
+        return self._stream_roots(entry, roots, lazy=False)
+
+    def _join_index(
+        self, entry: TableEntry, attribute: str
+    ) -> Optional[Union[FlatIndex, NF2Index]]:
+        """The index an inner range's ``var.ATTR = value`` probe goes
+        through — the first value index keyed on exactly the top-level
+        *attribute* that can name the owning row (a DATA_TID NF² index
+        cannot, Section 4.2) — or ``None``: the range is scanned.
+        :meth:`lookup_rows` and EXPLAIN both choose through this."""
+        if not self.use_access_paths:
+            return None
+        for index in entry.value_indexes():
             if index.definition.attribute_path != (attribute,):
                 continue
-            if isinstance(index, FlatIndex):
-                return self._stream_heap_rows(entry, index.search(value))
-            if index.definition.mode is AddressingMode.DATA_TID:
-                continue
-            return self._stream_current_roots(entry, index.roots_for(value))
+            if (
+                isinstance(index, FlatIndex)
+                or index.definition.mode is not AddressingMode.DATA_TID
+            ):
+                return index
         return None
 
     def _read_snapshot(self, entry: TableEntry):
@@ -1889,59 +1882,6 @@ class Database:
             return None
         return session._snapshot
 
-    def _stream_current_roots(
-        self, entry: TableEntry, roots: Iterable[TID]
-    ) -> Iterator[TupleValue]:
-        snapshot = self._read_snapshot(entry)
-        if snapshot is not None:
-            for root in roots:
-                if _mvcc_read.tid_visible(entry, snapshot, root):
-                    yield self._fetch(entry, root)
-            return
-        self._lock_table(entry.name, LockMode.IS)
-        current = set(entry.tids)
-        for root in roots:
-            if root in current:
-                self._lock_object(entry.name, root, LockMode.S)
-                if root not in entry.tids:
-                    continue  # deleted while we waited for the lock
-                yield self._fetch(entry, root)
-
-    def _current_tids(
-        self, entry: TableEntry, asof: Optional[datetime.date]
-    ) -> list[TID]:
-        if asof is None:
-            return list(entry.tids)
-        if entry.temporal_manager is not None:
-            return [
-                tid
-                for tid in entry.tids + entry.history_tids
-                if entry.temporal_manager.exists_at(tid, asof)
-            ]
-        if entry.version_store is None:
-            raise TemporalError(f"table {entry.name!r} is not versioned")
-        return entry.version_store.roots_asof(asof)
-
-    def _stream_heap_rows(
-        self, entry: TableEntry, tids: Iterable[TID]
-    ) -> Iterator[TupleValue]:
-        """Index-probe results from a flat table, S-locked per row (or
-        visibility-filtered lock-free under an MVCC snapshot)."""
-        heap = entry.heap
-        assert heap is not None
-        snapshot = self._read_snapshot(entry)
-        if snapshot is not None:
-            for tid in tids:
-                if _mvcc_read.tid_visible(entry, snapshot, tid):
-                    yield heap.fetch(tid)
-            return
-        self._lock_table(entry.name, LockMode.IS)
-        for tid in tids:
-            self._lock_object(entry.name, tid, LockMode.S)
-            if tid not in entry.tids:
-                continue  # deleted while we waited for the lock
-            yield heap.fetch(tid)
-
     def iterate_table(
         self,
         name: str,
@@ -1954,7 +1894,10 @@ class Database:
             yield from iterate_sys_view(self, name)
             return
         entry = self.catalog.table(name)
-        if asof is not None and entry.version_store is not None:
+        if asof is None:
+            yield from self._stream_roots(entry, None, lazy)
+            return
+        if entry.version_store is not None:
             # ASOF = a snapshot read at an old point on the *time* axis:
             # the same code path (snapshot_roots + interval_contains) MVCC
             # statement/transaction snapshots use on the LSN axis
@@ -1963,29 +1906,17 @@ class Database:
             for tid in _mvcc_read.snapshot_roots(entry, time_snapshot):
                 yield self._fetch(entry, tid)
             return
-        if asof is None:
-            snapshot = self._read_snapshot(entry)
-            if snapshot is not None:
-                for tid in _mvcc_read.snapshot_roots(entry, snapshot):
-                    yield self._fetch(entry, tid)
-                return
         self._lock_table(name, LockMode.IS)
-        if asof is not None and entry.temporal_manager is not None:
-            for tid in self._current_tids(entry, asof):
-                yield entry.temporal_manager.load_asof(tid, entry.schema, asof)
-            return
-        current_only = asof is None
-        lazy = (
-            lazy
-            and current_only
-            and not entry.is_flat
-            and entry.temporal_manager is None
-        )
-        for tid in self._current_tids(entry, asof):
-            self._lock_object(name, tid, LockMode.S)
-            if current_only and tid not in entry.tids:
-                continue  # deleted while we waited for the lock
-            yield self._fetch(entry, tid, lazy=lazy)
+        manager = entry.temporal_manager
+        if manager is None:
+            raise TemporalError(f"table {name!r} is not versioned")
+        existing = [
+            tid
+            for tid in entry.tids + entry.history_tids
+            if manager.exists_at(tid, asof)
+        ]
+        for tid in existing:
+            yield manager.load_asof(tid, entry.schema, asof)
 
     def _fetch(
         self, entry: TableEntry, tid: TID, lazy: bool = False

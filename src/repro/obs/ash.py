@@ -24,24 +24,17 @@ Environment knobs (read at construction):
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
+from repro.obs.metrics import env_number
 from repro.obs.querylog import fingerprint
 from repro.obs.waits import WAITS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.database import Database
-
-
-def _env(name: str, default: float) -> float:
-    try:
-        return float(os.environ.get(name, "").strip() or default)
-    except ValueError:
-        return default
 
 
 class AshSample:
@@ -112,9 +105,9 @@ class ActiveSessionHistory:
     ):
         self._db = db
         self.period_ms = (
-            _env("REPRO_ASH_PERIOD_MS", 10.0) if period_ms is None else period_ms
+            env_number("REPRO_ASH_PERIOD_MS", 10.0) if period_ms is None else period_ms
         )
-        capacity = int(_env("REPRO_ASH_KEEP", 4096)) if keep is None else keep
+        capacity = env_number("REPRO_ASH_KEEP", 4096, int) if keep is None else keep
         self.samples: deque[AshSample] = deque(maxlen=capacity)
         self.ticks = 0  #: sampling rounds taken (thread or manual)
         self._seq = 0

@@ -27,10 +27,23 @@ each counter reproduces).
 from __future__ import annotations
 
 import math
+import os
 import threading
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 LabelKey = tuple  # tuple[tuple[str, str], ...] — sorted (name, value) pairs
+
+
+def env_number(name: str, default: Any, parse: Callable[[str], Any] = float) -> Any:
+    """The ``REPRO_*`` knob *name* parsed by *parse*, or *default* when it
+    is unset, blank or malformed — a bad knob never stops an import."""
+    text = os.environ.get(name, "").strip()
+    if not text:
+        return default
+    try:
+        return parse(text)
+    except ValueError:
+        return default
 
 
 def _label_key(labels: dict) -> LabelKey:

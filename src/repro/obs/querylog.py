@@ -31,6 +31,8 @@ import time
 from collections import deque
 from typing import Any, Optional
 
+from repro.obs.metrics import env_number
+
 #: default capacity of the finished-statement ring (SYS.QUERIES rows)
 DEFAULT_KEEP = 128
 
@@ -136,14 +138,8 @@ class QueryLog:
         self._ring: deque[QueryRecord] = deque(maxlen=keep)
         self.recorded = 0  #: total statements ever recorded (ring may drop)
         self.slow_logged = 0  #: statements written to the sink
-        self.slow_ms: Optional[float] = None
+        self.slow_ms: Optional[float] = env_number("REPRO_SLOW_QUERY_MS", None)
         self.slow_log_path: str = "slow_queries.jsonl"
-        env_threshold = os.environ.get("REPRO_SLOW_QUERY_MS", "").strip()
-        if env_threshold:
-            try:
-                self.slow_ms = float(env_threshold)
-            except ValueError:
-                pass
         env_path = os.environ.get("REPRO_SLOW_QUERY_LOG", "").strip()
         if env_path:
             self.slow_log_path = env_path

@@ -56,13 +56,12 @@ Environment knobs (read by :meth:`SloEngine.install_default_objectives`):
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.obs.metrics import METRICS
+from repro.obs.metrics import METRICS, env_number
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.database import Database
@@ -74,13 +73,6 @@ FIRING = "FIRING"
 RESOLVED = "RESOLVED"
 
 _KINDS = ("latency", "error_rate", "gauge")
-
-
-def _env(name: str, default: float) -> float:
-    try:
-        return float(os.environ.get(name, "").strip() or default)
-    except ValueError:
-        return default
 
 
 class SloObjective:
@@ -121,8 +113,8 @@ class SloObjective:
         self.windows = tuple(
             windows
             if windows is not None
-            else (_env("REPRO_SLO_WINDOW_S", 300.0),
-                  _env("REPRO_SLO_SHORT_WINDOW_S", 60.0))
+            else (env_number("REPRO_SLO_WINDOW_S", 300.0),
+                  env_number("REPRO_SLO_SHORT_WINDOW_S", 60.0))
         )
         self.for_ms = for_ms
         self.description = description
@@ -196,7 +188,7 @@ class SloEngine:
         self.objectives: dict[str, SloObjective] = {}
         self._alerts: dict[str, _AlertState] = {}
         self.events: deque[AlertEvent] = deque(
-            maxlen=int(_env("REPRO_ALERTS_KEEP", 1024))
+            maxlen=env_number("REPRO_ALERTS_KEEP", 1024, int)
         )
         self._seq = 0
         self._latch = threading.Lock()
@@ -222,14 +214,14 @@ class SloEngine:
         """The standard contract, parameterized by environment: statement
         p99 latency, statement error budget, replication lag, and server
         queue depth.  Used by ``--monitor`` serving and the SLO gate."""
-        for_ms = _env("REPRO_SLO_FOR_MS", 0.0)
+        for_ms = env_number("REPRO_SLO_FOR_MS", 0.0)
         installed = [
             self.define(
                 name="statement-p99",
                 kind="latency",
                 metric="query.latency_ms",
                 quantile=0.99,
-                ceiling=_env("REPRO_SLO_P99_MS", 100.0),
+                ceiling=env_number("REPRO_SLO_P99_MS", 100.0),
                 for_ms=for_ms,
                 description="p99 statement latency (all kinds)",
             ),
@@ -238,7 +230,7 @@ class SloEngine:
                 kind="error_rate",
                 metric="query.errors",
                 total_metric="query.statements",
-                objective=_env("REPRO_SLO_ERROR_RATE", 0.999),
+                objective=env_number("REPRO_SLO_ERROR_RATE", 0.999),
                 for_ms=for_ms,
                 description="statement error budget",
             ),
@@ -246,7 +238,7 @@ class SloEngine:
                 name="replica-lag",
                 kind="gauge",
                 metric="replication.lag",
-                ceiling=_env("REPRO_SLO_REPLICA_LAG", 8.0),
+                ceiling=env_number("REPRO_SLO_REPLICA_LAG", 8.0),
                 for_ms=for_ms,
                 description="replication lag (shipped-but-unapplied batches)",
             ),
@@ -254,7 +246,7 @@ class SloEngine:
                 name="server-queue",
                 kind="gauge",
                 metric="server.queue_depth",
-                ceiling=_env("REPRO_SLO_QUEUE_DEPTH", 64.0),
+                ceiling=env_number("REPRO_SLO_QUEUE_DEPTH", 64.0),
                 for_ms=for_ms,
                 description="admission-control backlog",
             ),

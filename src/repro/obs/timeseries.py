@@ -30,26 +30,23 @@ Environment knobs (read at construction):
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.obs.metrics import METRICS, _label_key, interpolated_quantile
+from repro.obs.metrics import (
+    METRICS,
+    _label_key,
+    env_number,
+    interpolated_quantile,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.database import Database
 
 #: downsampling factors: tier *i* keeps one sample every ``factor`` ticks
 TIER_FACTORS = (1, 10, 60)
-
-
-def _env(name: str, default: float) -> float:
-    try:
-        return float(os.environ.get(name, "").strip() or default)
-    except ValueError:
-        return default
 
 
 class TsSample:
@@ -115,9 +112,9 @@ class TimeSeriesRecorder:
     ):
         self._db = db
         self.period_ms = (
-            _env("REPRO_TS_PERIOD_MS", 1000.0) if period_ms is None else period_ms
+            env_number("REPRO_TS_PERIOD_MS", 1000.0) if period_ms is None else period_ms
         )
-        self.keep = int(_env("REPRO_TS_KEEP", 360)) if keep is None else keep
+        self.keep = env_number("REPRO_TS_KEEP", 360, int) if keep is None else keep
         self.ticks = 0  #: sampling rounds taken (thread or manual)
         self._series: dict[tuple, _Series] = {}
         self._latch = threading.Lock()

@@ -37,6 +37,8 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Any, Iterable, Iterator, Optional
 
+from repro.obs.metrics import env_number
+
 
 def new_trace_id() -> str:
     """A fresh 16-hex-digit trace id."""
@@ -532,23 +534,9 @@ class Tracer:
         return len(selected)
 
 
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, "").strip() or default)
-    except ValueError:
-        return default
-
-
-def _env_float(name: str, default: float) -> float:
-    try:
-        return float(os.environ.get(name, "").strip() or default)
-    except ValueError:
-        return default
-
-
 #: the process-wide tracer used by Database.execute and friends
 TRACER = Tracer(
-    keep=_env_int("REPRO_TRACE_KEEP", 128),
-    slow_ms=_env_float("REPRO_TRACE_SLOW_MS", 250.0),
-    sample_every=_env_int("REPRO_TRACE_SAMPLE", 1),
+    keep=env_number("REPRO_TRACE_KEEP", 128, int),
+    slow_ms=env_number("REPRO_TRACE_SLOW_MS", 250.0),
+    sample_every=env_number("REPRO_TRACE_SAMPLE", 1, int),
 )

@@ -47,17 +47,16 @@ block never touch the registry beyond one per-statement reset.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional
 
-from repro.obs.metrics import METRICS
+from repro.obs.metrics import METRICS, env_number
 from repro.obs.trace import Span, TRACER
 
 #: waits shorter than this are not worth a span in the statement trace
-WAIT_SPAN_MIN_MS = float(os.environ.get("REPRO_WAIT_SPAN_MIN_MS", "0.05"))
+WAIT_SPAN_MIN_MS = env_number("REPRO_WAIT_SPAN_MIN_MS", 0.05)
 
 
 def lock_event(resource: tuple, mode) -> str:

@@ -239,46 +239,24 @@ def _compile_quantifier(pred: ast.Quantifier) -> Callable[[Executor, dict], bool
 def _join_candidates(
     var: str, where: Optional[ast.Predicate]
 ) -> tuple[tuple[str, Callable[[Executor, dict], Any]], ...]:
-    """Pre-resolved index-nested-loop probes, mirroring the interpreter's
-    ``_join_lookup`` conjunct scan order exactly."""
-    if where is None:
-        return ()
-    from repro.query.planner import _flatten_and
+    """Pre-resolved index-nested-loop probes, in the interpreter's
+    ``_join_lookup`` order (both walk :func:`planner.join_conjuncts`)."""
+    from repro.query.planner import join_conjuncts
 
-    conjuncts = _flatten_and(where)
-    if conjuncts is None:
-        return ()
     out: list[tuple[str, Callable[[Executor, dict], Any]]] = []
-    for conjunct in conjuncts:
-        if not (isinstance(conjunct, ast.Comparison) and conjunct.op == "="):
+    for attribute, theirs in join_conjuncts(where, var):
+        if isinstance(theirs, ast.Literal):
+            out.append((attribute, lambda ex, env, v=theirs.value: v))
             continue
-        for mine, theirs in (
-            (conjunct.left, conjunct.right),
-            (conjunct.right, conjunct.left),
-        ):
-            if not (
-                isinstance(mine, ast.Path)
-                and mine.var == var
-                and len(mine.attribute_names) == 1
-                and not mine.has_subscript
-            ):
-                continue
-            attribute = mine.attribute_names[0]
-            if isinstance(theirs, ast.Literal):
-                value = theirs.value
-                out.append((attribute, lambda ex, env, v=value: v))
-            elif isinstance(theirs, ast.Path):
-                fn = _compile_expression(theirs)
-                theirs_var = theirs.var
+        fn = _compile_expression(theirs)
+        theirs_var = theirs.var
 
-                def getter(
-                    ex: Executor, env: dict, fn=fn, theirs_var=theirs_var
-                ) -> Any:
-                    if theirs_var not in env:
-                        return _SKIP
-                    return _unwrap_single_attribute(fn(ex, env))
+        def getter(ex: Executor, env: dict, fn=fn, theirs_var=theirs_var) -> Any:
+            if theirs_var not in env:
+                return _SKIP
+            return _unwrap_single_attribute(fn(ex, env))
 
-                out.append((attribute, getter))
+        out.append((attribute, getter))
     return tuple(out)
 
 
@@ -306,23 +284,20 @@ class _CompiledRange:
     def iterate(self, ex: Executor, env: dict) -> Iterable[TupleValue]:
         if self.table is not None:
             provider = ex._provider
-            if self.joins:
-                lookup = getattr(provider, "lookup_rows", None)
-                if lookup is not None:
-                    for attribute, getter in self.joins:
-                        value = getter(ex, env)
-                        if (
-                            value is _SKIP
-                            or value is None
-                            or isinstance(value, (TableValue, TupleValue))
-                        ):
-                            continue
-                        rows = lookup(self.table, attribute, value)
-                        if rows is not None:
-                            profile = ex._profile
-                            if profile is not None:
-                                profile.join_lookups += 1
-                            return rows
+            for attribute, getter in self.joins:
+                value = getter(ex, env)
+                if (
+                    value is _SKIP
+                    or value is None
+                    or isinstance(value, (TableValue, TupleValue))
+                ):
+                    continue
+                rows = provider.lookup_rows(self.table, attribute, value)
+                if rows is not None:
+                    profile = ex._profile
+                    if profile is not None:
+                        profile.join_lookups += 1
+                    return rows
             return provider.iterate_table(self.table, self.asof)
         value = self.path_fn(ex, env)
         if not isinstance(value, TableValue):
@@ -772,18 +747,14 @@ class CompiledQuery:
             first_iter = provider.iterate_table_for_query(
                 r0.table, r0.asof, query, r0.var
             )
-            plan = getattr(provider, "last_plan", None)
+            plan = provider.last_plan
             if plan is not None:
-                settled = getattr(plan, "settled", None) or []
-                sort_elided = bool(query.order_by) and bool(
-                    getattr(plan, "sort_elided", False)
-                )
+                settled = plan.settled
+                sort_elided = bool(query.order_by) and plan.sort_elided
             elif self.columnar is not None:
-                scan_chunks = getattr(provider, "scan_chunks", None)
-                if scan_chunks is not None:
-                    chunks = scan_chunks(r0.table, self.columnar.needed)
-                    if chunks is not None:
-                        return self._execute_columnar(ex, chunks, is_top)
+                chunks = provider.scan_chunks(r0.table, self.columnar.needed)
+                if chunks is not None:
+                    return self._execute_columnar(ex, chunks, is_top)
         where_fn = self.where_fn
         if settled:
             where_fn = self._residual(settled)

@@ -70,7 +70,15 @@ class ExecReport:
 
 
 class TableProvider(SchemaProvider, Protocol):
-    """What the executor needs from the database."""
+    """What both engines need from the database (``Database`` is the one
+    provider; every member is read at call time)."""
+
+    #: ``"compiled"`` or ``"interpreted"``
+    exec_mode: str
+    #: bumped by DDL: cached bindings and compiled plans are stale
+    schema_epoch: int
+    #: the planner's report on the last planned range, or None (a scan)
+    last_plan: Any
 
     def iterate_table(
         self, name: str, asof: Optional[datetime.date] = None
@@ -86,7 +94,20 @@ class TableProvider(SchemaProvider, Protocol):
     ) -> Iterable[TupleValue]:
         """Like :meth:`iterate_table`, but the provider may use the query's
         WHERE clause to choose an access path (index scan instead of a full
-        scan).  The default implementation is a full scan."""
+        scan) and publishes ``last_plan`` before the first row."""
+        ...
+
+    def lookup_rows(
+        self, name: str, attribute: str, value: Any
+    ) -> Optional[Iterable[TupleValue]]:
+        """Rows whose top-level *attribute* equals *value* through an
+        index, or ``None`` (no suitable index: the caller scans)."""
+        ...
+
+    def scan_chunks(
+        self, name: str, needed: Optional[frozenset] = None
+    ) -> Optional[Iterable[tuple[int, dict[str, list]]]]:
+        """Columnar batches of a flat table, or ``None`` (row path)."""
         ...
 
 
@@ -132,9 +153,8 @@ class Executor:
         from the cache; otherwise the interpreted AST walker runs."""
         compiled = None
         self._cache_state = None
-        mode = getattr(self._provider, "exec_mode", "interpreted")
         with TRACER.span("bind"):
-            if mode == "compiled":
+            if self._provider.exec_mode == "compiled":
                 compiled = self._compiled(query)
             schema = (
                 compiled.schema
@@ -178,7 +198,7 @@ class Executor:
         its schema epoch still matches."""
         from repro.query.compile import compile_query
 
-        epoch = getattr(self._provider, "schema_epoch", 0)
+        epoch = self._provider.schema_epoch
         cache = self._compiled_cache
         try:
             entry = cache.get(query)
@@ -205,7 +225,7 @@ class Executor:
     def _result_schema(self, query: ast.Query, scope: Scope) -> TableSchema:
         # parse-cached statements reuse AST objects across executions, so
         # a bound schema is only valid while the schema epoch stands
-        epoch = getattr(self._provider, "schema_epoch", 0)
+        epoch = self._provider.schema_epoch
         cache = self._schema_cache
         entry = cache.get(id(query))
         if entry is not None and entry[0] is query and entry[2] == epoch:
@@ -252,10 +272,8 @@ class Executor:
                 where=query.where,
             )
             if query.order_by:
-                plan = getattr(self._provider, "last_plan", None)
-                sort_elided = plan is not None and getattr(
-                    plan, "sort_elided", False
-                )
+                plan = self._provider.last_plan
+                sort_elided = plan is not None and plan.sort_elided
         collect_keys = bool(query.order_by) and not sort_elided
 
         def emit(bound_env: dict[str, TupleValue]) -> None:
@@ -381,42 +399,24 @@ class Executor:
         """Find an equality conjunct ``var.ATTR = <bound expression>`` and
         answer it through an index (System-R style index nested loops).
         The provider streams the matching rows (no materialized list)."""
-        lookup = getattr(self._provider, "lookup_rows", None)
-        if lookup is None:
-            return None
-        from repro.query.planner import _flatten_and
+        from repro.query.planner import join_conjuncts
 
-        conjuncts = _flatten_and(where)
-        if conjuncts is None:
-            return None
-        for conjunct in conjuncts:
-            if not (isinstance(conjunct, ast.Comparison) and conjunct.op == "="):
+        for attribute, theirs in join_conjuncts(where, var):
+            if isinstance(theirs, ast.Literal):
+                value = theirs.value
+            elif theirs.var in env:
+                value = _unwrap_single_attribute(
+                    self._eval_expression(theirs, env)
+                )
+            else:
                 continue
-            for mine, theirs in (
-                (conjunct.left, conjunct.right),
-                (conjunct.right, conjunct.left),
-            ):
-                if not (
-                    isinstance(mine, ast.Path)
-                    and mine.var == var
-                    and len(mine.attribute_names) == 1
-                    and not mine.has_subscript
-                ):
-                    continue
-                if isinstance(theirs, ast.Literal):
-                    value = theirs.value
-                elif isinstance(theirs, ast.Path) and theirs.var in env:
-                    value = self._eval_expression(theirs, env)
-                    value = _unwrap_single_attribute(value)
-                else:
-                    continue
-                if value is None or isinstance(value, (TableValue, TupleValue)):
-                    continue
-                rows = lookup(table, mine.attribute_names[0], value)
-                if rows is not None:
-                    if self._profile is not None:
-                        self._profile.join_lookups += 1
-                    return rows
+            if value is None or isinstance(value, (TableValue, TupleValue)):
+                continue
+            rows = self._provider.lookup_rows(table, attribute, value)
+            if rows is not None:
+                if self._profile is not None:
+                    self._profile.join_lookups += 1
+                return rows
         return None
 
     def _project(

@@ -33,7 +33,7 @@ planning is purely an optimization.  See ``docs/PLANNER.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, Optional, Union
 
 from repro.catalog.catalog import TableEntry
 from repro.index.addresses import AddressingMode, HierarchicalAddress, address_root
@@ -159,6 +159,37 @@ def _exact_conditions(
             out.extend(sub)
         return out
     return None
+
+
+def join_conjuncts(
+    where: Optional[ast.Predicate], var: str
+) -> list[tuple[str, Union[ast.Literal, ast.Path]]]:
+    """The index-nested-loop probes *where* offers an inner range *var*:
+    ``(attribute, other_side)`` for each top-level conjunct
+    ``var.ATTR = other_side`` whose other side is a literal or a path
+    (either orientation; one attribute, no subscript), in conjunct order.
+    Both engines probe through these and EXPLAIN predicts from them; a
+    probe runs only when the other side's variable is bound and its value
+    is an atom."""
+    if where is None:
+        return []
+    out: list[tuple[str, Union[ast.Literal, ast.Path]]] = []
+    for conjunct in _flatten_and(where) or ():
+        if not (isinstance(conjunct, ast.Comparison) and conjunct.op == "="):
+            continue
+        for mine, other in (
+            (conjunct.left, conjunct.right),
+            (conjunct.right, conjunct.left),
+        ):
+            if (
+                isinstance(mine, ast.Path)
+                and mine.var == var
+                and len(mine.attribute_names) == 1
+                and not mine.has_subscript
+                and isinstance(other, (ast.Literal, ast.Path))
+            ):
+                out.append((mine.attribute_names[0], other))
+    return out
 
 
 def _flatten_and(predicate: ast.Predicate) -> Optional[list[ast.Predicate]]:

@@ -2,6 +2,9 @@
 that observability-off costs (almost) nothing."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -310,3 +313,49 @@ def test_disabled_overhead_is_small():
     # enabled profiling costs something, but the *disabled* path must not
     # be the slow one; allow generous noise either way.
     assert disabled < enabled * 3 + 0.05
+
+
+# ---------------------------------------------------------------------------
+# REPRO_* knobs
+# ---------------------------------------------------------------------------
+
+
+def test_malformed_knobs_fall_back_to_their_defaults():
+    """Numeric observability knobs are read when the package is imported
+    or a Database is created; a value that does not parse must leave the
+    default in place, not crash either."""
+    knobs = (
+        "REPRO_WAIT_SPAN_MIN_MS",
+        "REPRO_TRACE_KEEP",
+        "REPRO_TRACE_SLOW_MS",
+        "REPRO_TRACE_SAMPLE",
+        "REPRO_SLOW_QUERY_MS",
+        "REPRO_ASH_PERIOD_MS",
+        "REPRO_ASH_KEEP",
+        "REPRO_TS_PERIOD_MS",
+        "REPRO_TS_KEEP",
+        "REPRO_SLO_WINDOW_S",
+        "REPRO_SLO_FOR_MS",
+        "REPRO_SLO_P99_MS",
+        "REPRO_ALERTS_KEEP",
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, **{knob: "abc" for knob in knobs})
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    script = (
+        "from repro.database import Database\n"
+        "from repro.obs import TRACER, waits\n"
+        "db = Database()\n"
+        "db.slo.install_default_objectives()\n"
+        "print(waits.WAIT_SPAN_MIN_MS, TRACER.keep, db.query_log.slow_ms,\n"
+        "      db.ash.period_ms, db.ts.keep, db.slo.events.maxlen)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0.05", "128", "None", "10.0", "360", "1024"]
