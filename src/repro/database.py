@@ -62,6 +62,7 @@ from repro.obs.slo import SloEngine
 from repro.obs.timeseries import TimeSeriesRecorder
 from repro.obs.sysviews import is_sys_table, iterate_sys_view, sys_view_schema
 from repro.query import ast
+from repro.query.compile import _compile_expression, _compile_predicate
 from repro.query.executor import Executor
 from repro.query.parser import parse_statement
 from repro.query.planner import (
@@ -175,13 +176,6 @@ class Database:
         self.structure = structure
         #: set False to disable index-based access paths (benchmarks use it)
         self.use_access_paths = True
-        #: execution engine: ``"compiled"`` (statements compile once into
-        #: Python closures, flat scans batch into columnar chunks, complex
-        #: objects decode lazily — the default; see docs/EXECUTOR.md) or
-        #: ``"interpreted"`` (the row-at-a-time AST walker, kept as the
-        #: byte-identical A/B baseline).  Overridable per process via the
-        #: ``REPRO_EXEC_MODE`` environment variable.
-        self.exec_mode = os.environ.get("REPRO_EXEC_MODE", "compiled")
         #: bumped by every DDL statement (CREATE/DROP/ALTER TABLE) —
         #: compiled statement plans are stamped with the epoch they were
         #: built under and recompile when it moves
@@ -1484,13 +1478,8 @@ class Database:
                 )
             exec_report = self._executor.exec_report
             if exec_report is not None:
-                cache = (
-                    f"  plan cache: {exec_report.cache}"
-                    if exec_report.cache is not None
-                    else ""
-                )
                 lines.append(
-                    f"  exec: mode={exec_report.mode}{cache}"
+                    f"  exec: plan cache: {exec_report.cache}"
                     f"  settled conjuncts: {exec_report.settled_conjuncts}"
                     f"  columnar chunks: {exec_report.columnar_chunks}"
                 )
@@ -1574,18 +1563,22 @@ class Database:
 
     def _execute_update(self, statement: ast.UpdateStatement) -> int:
         entry = self.catalog.table(statement.table)
+        assignments = [
+            (name, _compile_expression(expr)) for name, expr in statement.assignments
+        ]
+        executor = self._executor
         matches = self._match_tuples(entry, statement.var, statement.where)
         for tid, row in matches:
             env = {statement.var: row}
             changes = {}
-            for name, expr in statement.assignments:
+            for name, value_of in assignments:
                 attr = entry.schema.attribute(name)
                 if not attr.is_atomic:
                     raise ExecutionError(
                         f"UPDATE assigns atomic attributes; {name!r} is a "
                         "subtable (use the partial-update API)"
                     )
-                changes[name] = self._executor._eval_expression(expr, env)
+                changes[name] = value_of(executor, env)
             self.update(statement.table, tid, changes)
         return len(matches)
 
@@ -1599,10 +1592,12 @@ class Database:
     def _match_tuples(
         self, entry: TableEntry, var: str, where: Optional[ast.Predicate]
     ) -> list[tuple[TID, TupleValue]]:
+        test = None if where is None else _compile_predicate(where)
+        executor = self._executor
         out = []
         for tid in self._dml_tids(entry, where, var):
             row = self._fetch(entry, tid)
-            if where is None or self._executor._eval_predicate(where, {var: row}):
+            if test is None or test(executor, {var: row}):
                 out.append((tid, row))
         return out
 
@@ -1691,10 +1686,9 @@ class Database:
         roots, _note = self._plan_roots(
             entry, query.where, var, asof, self._order_pushdown_path(query, var)
         )
-        lazy = self.exec_mode == "compiled"
         if roots is not None:
-            return self._stream_roots(entry, roots, lazy)
-        return self.iterate_table(name, asof, lazy=lazy)
+            return self._stream_roots(entry, roots, lazy=True)
+        return self.iterate_table(name, asof, lazy=True)
 
     def _plan_roots(
         self,

@@ -12,9 +12,20 @@ from typing import Optional, Sequence, Union
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Literal:
     value: object  # int, float, str, bool, date, or None
+
+    # ``1 == 1.0 == True`` in Python, but the three literals bind to INT,
+    # FLOAT and BOOL: the value's type is part of a statement's identity
+    # (the compiled-plan cache is keyed by the AST)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Literal):
+            return NotImplemented
+        return type(self.value) is type(other.value) and self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash((type(self.value), self.value))
 
 
 @dataclass(frozen=True)

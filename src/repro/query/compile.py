@@ -1,16 +1,17 @@
-"""The compiled execution core: statements become Python closures.
+"""The execution core: statements become Python closures.
 
-The interpreted executor re-walks the AST for every row — every WHERE
-evaluation re-dispatches on node types, every path re-parses its steps,
-every projection re-discovers its shape.  This module compiles a
-statement **once** into a tree of closures keyed by its AST fingerprint
-(the frozen :class:`repro.query.ast.Query` is hashable, so the statement
-itself is the cache key): predicates become functions, paths become
-specialized attribute getters, and the row loop becomes a tight
-recursion that mutates a single environment dict instead of copying it
-per row (safe — the binder rejects all variable shadowing).
+A statement is compiled **once** into a tree of closures keyed by its AST
+fingerprint (the frozen :class:`repro.query.ast.Query` is hashable, so
+the statement itself is the cache key): predicates become functions,
+paths become specialized attribute getters, and the row loop becomes a
+tight recursion that mutates a single environment dict instead of
+copying it per row (safe — the binder rejects all variable shadowing).
+Root and partial UPDATE/DELETE compile their WHERE and SET expressions
+the same way, once per statement execution.  This is the only
+evaluator; ``tests/model/reference.py`` is the plain-Python semantics
+reference the test suite checks it against.
 
-Three further wins ride on the compiled shape (ROADMAP item 2):
+Three further wins ride on the compiled shape:
 
 * **Settled conjuncts** — the planner reports WHERE conjuncts whose
   index decomposition was lossless (``PlanReport.settled``); compiled
@@ -26,11 +27,6 @@ Three further wins ride on the compiled shape (ROADMAP item 2):
 * **Lazy object decode** — NF2 candidates arrive as
   :class:`repro.storage.lazy.LazyTupleValue`; data subtuples of parts
   the residual predicate and projection never touch are never read.
-
-Every statement the parser produces compiles; the interpreter stays the
-semantics reference (the two engines are A/B comparable via
-``db.exec_mode`` and must return byte-identical results — see
-tests/test_compile.py).
 """
 
 from __future__ import annotations
@@ -45,6 +41,7 @@ from repro.query import ast
 from repro.query.binder import Scope
 from repro.query.executor import (
     Executor,
+    _aggregate,
     _compile_mask,
     _retag_table,
     _sortable,
@@ -64,10 +61,8 @@ _MIRROR = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 def compile_query(executor: Executor, query: ast.Query) -> "CompiledQuery":
     """Compile *query* against the top-level scope.
 
-    Binding errors propagate unchanged (they are user errors, identical
-    in both engines).
-    """
-    schema = executor._result_schema(query, Scope())
+    Binding errors propagate unchanged (they are user errors)."""
+    schema = executor._binder.bind_query(query, Scope())
     return CompiledQuery(executor, query, schema)
 
 
@@ -76,9 +71,18 @@ def compile_query(executor: Executor, query: ast.Query) -> "CompiledQuery":
 # ---------------------------------------------------------------------------
 
 
+def _path_steps(path: ast.Path) -> tuple[tuple[Optional[str], Optional[int]], ...]:
+    """``(name, 0-based subscript)`` per step (the language is 1-based)."""
+    return tuple(
+        (step.name, None if step.subscript is None else step.subscript - 1)
+        for step in path.steps
+    )
+
+
 def _compile_path(path: ast.Path) -> Callable[[Executor, dict], Any]:
     var = path.var
     steps = path.steps
+    dotted = path.dotted()
     if len(steps) == 1 and steps[0].name is not None and steps[0].subscript is None:
         # the overwhelmingly common shape: one plain attribute step
         name = steps[0].name
@@ -91,28 +95,95 @@ def _compile_path(path: ast.Path) -> Callable[[Executor, dict], Any]:
             if row is None:
                 return None
             if not isinstance(row, TupleValue):
-                raise ExecutionError(f"cannot select {name!r} in {path.dotted()!r}")
+                raise ExecutionError(f"cannot select {name!r} in {dotted!r}")
             return row[name]
 
         return get_attr
 
-    if not steps:
+    plan = _path_steps(path)
 
-        def get_var(ex: Executor, env: dict) -> Any:
-            try:
-                return env[var]
-            except KeyError:
-                raise ExecutionError(f"unbound tuple variable {var!r}") from None
-
-        return get_var
-
-    # general shape: defer to the interpreter's path walker (it handles
-    # NULL propagation and 1-based subscripts); still no AST re-dispatch
-    # above this node
+    # general shape: multi-step and subscripted paths; NULL propagates,
+    # an out-of-range subscript yields NULL
     def get_path(ex: Executor, env: dict) -> Any:
-        return ex._eval_path(path, env)
+        try:
+            current = env[var]
+        except KeyError:
+            raise ExecutionError(f"unbound tuple variable {var!r}") from None
+        for name, index in plan:
+            if name is not None:
+                if current is None:
+                    return None
+                if not isinstance(current, TupleValue):
+                    raise ExecutionError(f"cannot select {name!r} in {dotted!r}")
+                current = current[name]
+            if index is not None:
+                if current is None:
+                    return None
+                if not isinstance(current, TableValue):
+                    raise ExecutionError(
+                        f"subscript in {dotted!r} applies to a table"
+                    )
+                current = current[index] if 0 <= index < len(current) else None
+        return current
 
     return get_path
+
+
+def _compile_path_multi(path: ast.Path) -> Callable[[Executor, dict], list]:
+    """An aggregate argument: a name step applied to a table applies to
+    each of its tuples, so the path flattens across subtable levels."""
+    var = path.var
+    dotted = path.dotted()
+    plan = _path_steps(path)
+
+    def values(ex: Executor, env: dict) -> list:
+        try:
+            current = [env[var]]
+        except KeyError:
+            raise ExecutionError(f"unbound tuple variable {var!r}") from None
+        for name, index in plan:
+            if name is not None:
+                flat: list = []
+                for value in current:
+                    if value is None:
+                        continue
+                    if isinstance(value, TableValue):
+                        flat.extend(row[name] for row in value.rows)
+                    elif isinstance(value, TupleValue):
+                        flat.append(value[name])
+                    else:
+                        raise ExecutionError(
+                            f"cannot select {name!r} in {dotted!r}"
+                        )
+                current = flat
+            if index is not None:
+                current = [
+                    value[index]
+                    if isinstance(value, TableValue) and 0 <= index < len(value)
+                    else None
+                    for value in current
+                ]
+        return current
+
+    return values
+
+
+def _compile_subquery(query: ast.Query) -> Callable[[Executor, dict], TableValue]:
+    """An expression-position subquery.  Its scope is the environment it
+    runs in, so it binds on first evaluation and keeps the compiled plan
+    in the closure from then on."""
+    compiled: Optional[CompiledQuery] = None
+
+    def run_subquery(ex: Executor, env: dict) -> TableValue:
+        nonlocal compiled
+        if compiled is None:
+            scope = Scope()
+            for var, row in env.items():
+                scope.define(var, row.schema)
+            compiled = CompiledQuery(ex, query, ex._binder.bind_query(query, scope))
+        return compiled.execute(ex, env)
+
+    return run_subquery
 
 
 def _compile_expression(expr: ast.Expression) -> Callable[[Executor, dict], Any]:
@@ -122,11 +193,14 @@ def _compile_expression(expr: ast.Expression) -> Callable[[Executor, dict], Any]
     if isinstance(expr, ast.Path):
         return _compile_path(expr)
     if isinstance(expr, ast.Aggregate):
-        return lambda ex, env: ex._eval_aggregate(expr, env)
+        function = expr.function
+        if isinstance(expr.argument, ast.Path):
+            values = _compile_path_multi(expr.argument)
+            return lambda ex, env: _aggregate(function, values(ex, env))
+        argument = _compile_expression(expr.argument)
+        return lambda ex, env: _aggregate(function, [argument(ex, env)])
     if isinstance(expr, ast.Query):
-        # expression-position subquery: scope depends on the runtime env,
-        # so binding happens per evaluation exactly as interpreted
-        return lambda ex, env: ex._eval_expression(expr, env)
+        return _compile_subquery(expr)
     raise ExecutionError(f"unhandled expression {expr!r}")
 
 
@@ -200,8 +274,8 @@ def _compile_quantifier(pred: ast.Quantifier) -> Callable[[Executor, dict], bool
     body_fn = _compile_predicate(pred.body)
     var = pred.var
     exists = pred.kind == "EXISTS"
-    # parity with the interpreter: only EXISTS hands its body to the
-    # provider for index-nested-loop candidates
+    # only EXISTS hands its body to the provider for index-nested-loop
+    # candidates: ALL must see every row
     crange = _CompiledRange(
         ast.Range(var=var, source=pred.source),
         pred.body if exists else None,
@@ -239,8 +313,8 @@ def _compile_quantifier(pred: ast.Quantifier) -> Callable[[Executor, dict], bool
 def _join_candidates(
     var: str, where: Optional[ast.Predicate]
 ) -> tuple[tuple[str, Callable[[Executor, dict], Any]], ...]:
-    """Pre-resolved index-nested-loop probes, in the interpreter's
-    ``_join_lookup`` order (both walk :func:`planner.join_conjuncts`)."""
+    """Pre-resolved index-nested-loop probes, in the order EXPLAIN
+    predicts them (both walk :func:`planner.join_conjuncts`)."""
     from repro.query.planner import join_conjuncts
 
     out: list[tuple[str, Callable[[Executor, dict], Any]]] = []
@@ -349,8 +423,7 @@ def _compile_projection(
                     value = _retag_table(value, table_schema)
             values[name] = value
         # the validated constructor on purpose: select items coerce (an
-        # INT literal into a FLOAT output column) and error exactly like
-        # the interpreted projection
+        # INT literal into a FLOAT output column) and type errors surface
         return TupleValue(schema, values)
 
     return project
@@ -868,8 +941,8 @@ class CompiledQuery:
     def _finish(
         self, result: TableValue, keys_out: list[tuple], sort_elided: bool
     ) -> None:
-        """Shared ORDER BY / DISTINCT epilogue — the same algorithms (and
-        metric) as the interpreted executor, so row order is identical."""
+        """Shared ORDER BY / DISTINCT epilogue of the row and columnar
+        loops: a stable multi-key sort, then first-occurrence DISTINCT."""
         query = self.query
         if query.order_by:
             if sort_elided:

@@ -18,9 +18,11 @@ surfaces in the language as::
     WHERE  z.FUNCTION = 'Staff'
 
 The evaluator enumerates FROM bindings *structurally* (tracking the
-(subtable, position) path of every nested variable), groups matches per
-stored object, and applies them through :meth:`Database.update`, so index
-maintenance and temporal versioning come along for free.  Stored ranges
+(subtable, position) path of every nested variable), tests each against
+the WHERE clause compiled once per statement (:mod:`repro.query.compile`),
+groups matches per stored object, and applies them through
+:meth:`Database.update`, so index maintenance and temporal versioning
+come along for free.  Stored ranges
 take their rows from the planner like SELECT does
 (:meth:`Database._dml_tids`): ``WHERE x.DNO = 314`` probes an index
 instead of loading every department.
@@ -35,6 +37,7 @@ from repro.errors import ExecutionError
 from repro.model.schema import TableSchema
 from repro.model.values import TupleValue
 from repro.query import ast
+from repro.query.compile import _compile_expression, _compile_predicate
 from repro.storage.tid import TID
 
 if TYPE_CHECKING:
@@ -69,10 +72,12 @@ class PartialDML:
         # each stored range's rows, planned once on first reach: its
         # candidates depend on its own conjuncts, not on outer bindings
         stored: dict[int, list[TID]] = {}
+        test = None if where is None else _compile_predicate(where)
+        executor = self._db._executor
 
         def recurse(index: int, env: dict, info: dict) -> None:
             if index == len(ranges):
-                if where is None or self._db._executor._eval_predicate(where, env):
+                if test is None or test(executor, env):
                     bindings.append(Binding(dict(env), dict(info)))
                 return
             range_ = ranges[index]
@@ -201,7 +206,13 @@ class PartialDML:
 
     def execute_update(self, statement: ast.SubUpdateStatement) -> int:
         bindings = self._enumerate(statement.ranges, statement.where)
-        updated = 0
+        assignments = [
+            (name, _compile_expression(expr)) for name, expr in statement.assignments
+        ]
+        executor = self._db._executor
+        # one write per object: under MVCC a write moves the object to a
+        # new version, so a second write through the old TID would miss it
+        per_object: dict[tuple[str, TID], list[tuple[tuple, dict[str, Any]]]] = {}
         for binding in bindings:
             target = binding.info.get(statement.var)
             if target is None:
@@ -209,22 +220,28 @@ class PartialDML:
             entry = self._db.catalog.table(target.table)
             element_schema = self._element_schema(entry.schema, target.path)
             changes: dict[str, Any] = {}
-            for name, expr in statement.assignments:
+            for name, value_of in assignments:
                 attr = element_schema.attribute(name)
                 if not attr.is_atomic:
                     raise ExecutionError(
                         f"UPDATE assigns atomic attributes; {name!r} is a subtable"
                     )
-                changes[name] = self._db._executor._eval_expression(expr, binding.env)
-            if not target.path:
-                self._db.update(target.table, target.tid, changes)
-            else:
-                self._db.update(
-                    target.table,
-                    target.tid,
-                    lambda obj, path=target.path, changes=changes: obj.update_atoms(
-                        list(path), changes
-                    ),
-                )
-            updated += 1
-        return updated
+                changes[name] = value_of(executor, binding.env)
+            per_object.setdefault((target.table, target.tid), []).append(
+                (target.path, changes)
+            )
+        for (table, tid), edits in per_object.items():
+            if not edits[0][0]:
+                # the variable ranges over a stored table: one atom write
+                merged: dict[str, Any] = {}
+                for _path, changes in edits:
+                    merged.update(changes)
+                self._db.update(table, tid, merged)
+                continue
+
+            def apply(obj, edits=edits) -> None:
+                for path, changes in edits:
+                    obj.update_atoms(list(path), changes)
+
+            self._db.update(table, tid, apply)
+        return len(bindings)

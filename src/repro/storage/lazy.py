@@ -1,4 +1,4 @@
-"""Lazily-decoded complex objects for the compiled executor.
+"""Lazily-decoded complex objects for query reads.
 
 The paper's structure/data separation (Section 4.1) stores an object's
 shape in MD subtuples and its values in data subtuples.  ``OpenObject``
@@ -10,9 +10,9 @@ access.  A query whose predicate was settled on index information alone
 (Section 4.2) and whose projection touches only root atomics therefore
 never decodes the object's nested data pages.
 
-Only the compiled engine produces these (``Database._fetch(lazy=True)``);
-the interpreted baseline keeps eager materialization so A/B runs stay
-byte-identical in work as well as results.
+Every query read of current rows produces these
+(``Database._fetch(lazy=True)``); DML, join probes and snapshot reads
+fetch eagerly.
 """
 
 from __future__ import annotations

@@ -23,6 +23,31 @@ def load_paper_tables(db: Database) -> None:
         db.insert_many(schema.name, (row.to_plain() for row in value))
 
 
+def parity_database(**kwargs) -> Database:
+    """The paper's tables plus a flat EMP table (with NULL salaries) and
+    DOCS, whose ordered AUTHORS subtable serves subscripts: the database
+    the engine-versus-reference tests query."""
+    db = Database(**kwargs)
+    load_paper_tables(db)
+    db.execute("CREATE TABLE EMP (ENAME STRING, DEPT STRING, SAL INT)")
+    db.insert_many(
+        "EMP",
+        (
+            {
+                "ENAME": f"emp-{i:03d}",
+                "DEPT": f"d{i % 5}",
+                "SAL": None if i % 11 == 0 else 30000 + i * 500,
+            }
+            for i in range(40)
+        ),
+    )
+    db.execute("CREATE TABLE DOCS (ID INT, AUTHORS LIST OF (NAME STRING))")
+    db.insert("DOCS", {"ID": 1, "AUTHORS": [{"NAME": "Jones"}, {"NAME": "Adams"}]})
+    db.insert("DOCS", {"ID": 2, "AUTHORS": [{"NAME": "Chen"}]})
+    db.insert("DOCS", {"ID": 3, "AUTHORS": []})
+    return db
+
+
 @pytest.fixture
 def paper_db() -> Database:
     db = Database()

@@ -1,64 +1,36 @@
-"""The compiled execution core (``repro.query.compile``).
+"""The execution core (``repro.query.compile``).
 
-The contract under test: ``db.exec_mode = "compiled"`` must return
-results byte-identical to the interpreted walker — values *and* row
-order — while compiling each statement once (AST-fingerprint cache),
-skipping index-settled conjuncts, scanning flat tables in columnar
-chunks, and decoding NF2 data subtuples lazily.
+The contract under test: the engine answers every statement shape the
+way the plain-Python reference evaluator (``tests/model/reference.py``)
+does — values, and row order wherever the statement fixes one — while
+compiling each statement once (AST-fingerprint cache), skipping
+index-settled conjuncts, scanning flat tables in columnar chunks, and
+decoding NF2 data subtuples lazily.
 """
 
 import datetime
+from collections import Counter
 
 import pytest
 
 from repro.database import Database
+from repro.errors import BindError
 from repro.obs import METRICS
+from repro.query import ast
 from repro.query import executor as executor_mod
 from repro.query.executor import _compile_mask, _sortable, compare
 
-from tests.conftest import load_paper_tables
-
-
-def build_db(**kwargs) -> Database:
-    """The paper's tables plus a flat EMP table the scans chew on."""
-    db = Database(**kwargs)
-    load_paper_tables(db)
-    db.execute("CREATE TABLE EMP (ENAME STRING, DEPT STRING, SAL INT)")
-    db.insert_many(
-        "EMP",
-        (
-            {
-                "ENAME": f"emp-{i:03d}",
-                "DEPT": f"d{i % 5}",
-                "SAL": None if i % 11 == 0 else 30000 + i * 500,
-            }
-            for i in range(40)
-        ),
-    )
-    # an ordered subtable, for subscript parity (the language is 1-based)
-    db.execute("CREATE TABLE DOCS (ID INT, AUTHORS LIST OF (NAME STRING))")
-    db.insert("DOCS", {"ID": 1, "AUTHORS": [{"NAME": "Jones"}, {"NAME": "Adams"}]})
-    db.insert("DOCS", {"ID": 2, "AUTHORS": [{"NAME": "Chen"}]})
-    db.insert("DOCS", {"ID": 3, "AUTHORS": []})
-    return db
+from tests.conftest import parity_database
+from tests.model.reference import assert_matches_reference
 
 
 @pytest.fixture
 def db() -> Database:
-    return build_db()
+    return parity_database()
 
 
 def canonical_rows(result) -> list:
-    """Values and order — parity means both, not just the multiset."""
     return [row.canonical() for row in result.rows]
-
-
-def run_both(db: Database, sql: str) -> tuple[list, list]:
-    db.exec_mode = "interpreted"
-    interpreted = canonical_rows(db.query(sql))
-    db.exec_mode = "compiled"
-    compiled = canonical_rows(db.query(sql))
-    return interpreted, compiled
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +75,13 @@ PARITY_QUERIES = [
     "ORDER BY x.DNO",
     "SELECT x.DNO, SUM(x.EQUIP.QU) AS TOTAL FROM x IN DEPARTMENTS "
     "ORDER BY x.DNO",
+    "SELECT x.DNO, MAX(x.PROJECTS.MEMBERS.EMPNO) AS TOP FROM x IN DEPARTMENTS "
+    "WHERE SUM(x.EQUIP.QU) > 6 ORDER BY x.DNO",
+    "SELECT x.DNO FROM x IN DEPARTMENTS WHERE COUNT((SELECT y.PNO "
+    "FROM y IN x.PROJECTS WHERE y.PNO > 20)) > 0 ORDER BY x.DNO",
     # subscripts (the language is 1-based; out-of-range yields NULL)
     "SELECT d.ID, d.AUTHORS[2].NAME AS SECOND FROM d IN DOCS ORDER BY d.ID",
+    "SELECT d.ID FROM d IN DOCS WHERE d.AUTHORS[1].NAME = 'Jones'",
     # whole subtables in the select list
     "SELECT x.DNO, x.EQUIP FROM x IN DEPARTMENTS ORDER BY x.DNO",
     # literal-only predicates
@@ -115,9 +92,9 @@ PARITY_QUERIES = [
 
 
 def test_parity_battery(db):
+    db.use_access_paths = False  # scans: row order is compared too
     for sql in PARITY_QUERIES:
-        interpreted, compiled = run_both(db, sql)
-        assert compiled == interpreted, sql
+        assert_matches_reference(db, sql)
 
 
 def test_parity_with_indexes(db):
@@ -127,26 +104,24 @@ def test_parity_with_indexes(db):
     db.create_index("FN_HIER", "DEPARTMENTS", "PROJECTS.MEMBERS.FUNCTION")
     db.create_index("SAL_IX", "EMP", "SAL")
     for sql in PARITY_QUERIES:
-        interpreted, compiled = run_both(db, sql)
-        assert compiled == interpreted, sql
+        assert_matches_reference(db, sql)
 
 
 def test_asof_parity():
-    """Temporal reads take the version-chain path in both engines."""
+    """Temporal reads take the version-chain path."""
     from repro.datasets import paper
 
     db = Database()
     db.create_table(paper.DEPARTMENTS_SCHEMA, versioned=True)
     db.insert_many("DEPARTMENTS", paper.DEPARTMENTS_ROWS)
     for sql in (
-        # before any insert: empty in both engines
+        # before any insert: empty
         "SELECT x.DNO FROM x IN DEPARTMENTS ASOF '1984-01-15' ORDER BY x.DNO",
         # far future: everything visible
         "SELECT x.DNO, x.BUDGET FROM x IN DEPARTMENTS ASOF '2100-01-01' "
         "ORDER BY x.DNO",
     ):
-        interpreted, compiled = run_both(db, sql)
-        assert compiled == interpreted, sql
+        assert_matches_reference(db, sql)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +130,6 @@ def test_asof_parity():
 
 
 def test_statement_compiles_once(db):
-    db.exec_mode = "compiled"
     sql = "SELECT e.ENAME FROM e IN EMP WHERE e.SAL > 40000"
     db.query(sql)
     assert db._executor.exec_report.cache == "miss"
@@ -172,7 +146,6 @@ def test_statement_compiles_once(db):
 
 
 def test_alter_table_invalidates_compiled_plans(db):
-    db.exec_mode = "compiled"
     sql = "SELECT * FROM e IN EMP WHERE e.SAL > 40000"
     before = db.query(sql)
     db.query(sql)
@@ -187,32 +160,27 @@ def test_alter_table_invalidates_compiled_plans(db):
 
 def test_compiled_cache_is_bounded(db, monkeypatch):
     monkeypatch.setattr(executor_mod, "_COMPILED_CACHE_LIMIT", 4)
-    db.exec_mode = "compiled"
     for bound in range(30000, 30010):
         db.query(f"SELECT e.ENAME FROM e IN EMP WHERE e.SAL > {bound}")
     assert len(db._executor._compiled_cache) <= 4
 
 
-def test_schema_cache_evicts_lru(db, monkeypatch):
-    monkeypatch.setattr(executor_mod, "_SCHEMA_CACHE_LIMIT", 4)
-    db.exec_mode = "interpreted"  # the binder cache is mode-agnostic
-    METRICS.clear()
-    METRICS.enable()
-    try:
-        for bound in range(40000, 40010):
-            db.query(f"SELECT e.ENAME FROM e IN EMP WHERE e.SAL > {bound}")
-        assert len(db._executor._schema_cache) <= 4
-        assert METRICS.counter("exec.schema_cache_evictions").total > 0
-    finally:
-        METRICS.disable()
-        METRICS.clear()
-
-
-def test_exec_mode_env_default(monkeypatch):
-    monkeypatch.setenv("REPRO_EXEC_MODE", "interpreted")
-    assert Database().exec_mode == "interpreted"
-    monkeypatch.delenv("REPRO_EXEC_MODE")
-    assert Database().exec_mode == "compiled"
+def test_literal_types_are_part_of_the_plan_key():
+    """``1``, ``1.0`` and ``TRUE`` are equal in Python but bind to INT,
+    FLOAT and BOOL: a statement differing only in a literal's type is
+    another statement, not a plan-cache hit."""
+    assert ast.Literal(True) != ast.Literal(1) != ast.Literal(1.0)
+    assert len({ast.Literal(True), ast.Literal(1), ast.Literal(1.0)}) == 3
+    db = Database()
+    db.execute("CREATE TABLE T (A INT, B BOOL, F FLOAT)")
+    db.insert("T", {"A": 7, "B": True, "F": 0.5})
+    for literal, kind in (("1", int), ("1.0", float), ("TRUE", bool)):
+        result = db.query(f"SELECT t.A, {literal} AS X FROM t IN T")
+        assert db._executor.exec_report.cache == "miss", literal
+        assert type(result.rows[0]["X"]) is kind, literal
+    assert len(db.query("SELECT t.A FROM t IN T WHERE t.B = TRUE").rows) == 1
+    with pytest.raises(BindError):
+        db.query("SELECT t.A FROM t IN T WHERE t.B = 1")
 
 
 # ---------------------------------------------------------------------------
@@ -244,26 +212,26 @@ def _predicate_evals(db: Database, sql: str) -> tuple[int, list]:
 
 
 def test_settled_conjuncts_skip_residual_predicate(db):
+    """Settled plan = residual plan: the same rows, whether the index
+    settles the WHERE or a scan re-tests it on every object."""
     _with_hierarchical_indexes(db)
-    db.exec_mode = "interpreted"
-    interp_evals, interp_rows = _predicate_evals(db, CONJUNCTIVE)
-    db.exec_mode = "compiled"
-    compiled_evals, compiled_rows = _predicate_evals(db, CONJUNCTIVE)
-    assert compiled_rows == interp_rows
-    # the whole WHERE settled on index information alone: the compiled
-    # engine never re-tests it against fetched objects
+    settled_evals, settled_rows = _predicate_evals(db, CONJUNCTIVE)
+    # the whole WHERE settled on index information alone: it is never
+    # re-tested against fetched objects
     assert db._executor.exec_report.settled_conjuncts == 1
-    assert compiled_evals == 0
-    assert interp_evals > 0
+    db.use_access_paths = False
+    residual_evals, residual_rows = _predicate_evals(db, CONJUNCTIVE)
+    assert db._executor.exec_report.settled_conjuncts == 0
+    assert settled_evals == 0
+    assert residual_evals > 0
+    assert settled_rows and Counter(settled_rows) == Counter(residual_rows)
 
 
 def test_settled_stripped_under_mvcc():
     """MVCC defers index cleanup to GC — hits may be stale by fetch time,
     so settlement must not skip the re-check."""
-    db = _with_hierarchical_indexes(build_db(mvcc=True))
-    db.exec_mode = "compiled"
-    interp, compiled = run_both(db, CONJUNCTIVE)
-    assert compiled == interp
+    db = _with_hierarchical_indexes(parity_database(mvcc=True))
+    assert_matches_reference(db, CONJUNCTIVE)
     assert db._executor.exec_report.settled_conjuncts == 0
 
 
@@ -271,7 +239,6 @@ def test_settled_stripped_inside_session(db):
     """Under 2PL a writer may change a candidate between the index probe
     and our S-lock; the predicate must re-verify."""
     _with_hierarchical_indexes(db)
-    db.exec_mode = "compiled"
     expected = canonical_rows(db.query(CONJUNCTIVE))
     with db.session(name="reader") as session:
         result = session.execute(CONJUNCTIVE)
@@ -288,8 +255,7 @@ def test_settlement_never_skips_bool_literals():
     db.insert("F", {"K": 2, "OK": False})
     db.create_index("OK_IX", "F", "OK")
     sql = "SELECT f.K FROM f IN F WHERE f.OK = TRUE"
-    interp, compiled = run_both(db, sql)
-    assert compiled == interp
+    assert_matches_reference(db, sql)
     assert db._executor.exec_report.settled_conjuncts == 0
 
 
@@ -318,12 +284,14 @@ def test_lazy_decode_skips_untouched_hierarchies(db):
         "SELECT x.DNO FROM x IN DEPARTMENTS "
         "WHERE EXISTS y IN x.PROJECTS: y.PNO = 17"
     )
-    db.exec_mode = "interpreted"
-    interp_decodes, interp_rows = _data_decodes(db, sql)
-    db.exec_mode = "compiled"
-    compiled_decodes, compiled_rows = _data_decodes(db, sql)
-    assert compiled_rows == interp_rows
-    assert compiled_decodes < interp_decodes
+    settled_decodes, settled_rows = _data_decodes(db, sql)
+    assert_matches_reference(db, sql)
+    # one root data subtuple per result row, no PROJECTS data at all
+    assert settled_decodes == len(settled_rows) == 1
+    db.use_access_paths = False
+    scan_decodes, scan_rows = _data_decodes(db, sql)
+    assert scan_rows == settled_rows
+    assert scan_decodes > settled_decodes
 
 
 def test_columnar_flat_scan(db):
@@ -331,14 +299,13 @@ def test_columnar_flat_scan(db):
         "SELECT e.ENAME, e.SAL FROM e IN EMP "
         "WHERE e.SAL > 40000 ORDER BY e.SAL"
     )
-    interp, compiled = run_both(db, sql)
-    assert compiled == interp
+    db.use_access_paths = False
+    assert_matches_reference(db, sql)
     assert db._executor.exec_report.columnar_chunks > 0
 
 
 def test_columnar_respects_updates(db):
     """The chunked scan reads current heap state, not a stale snapshot."""
-    db.exec_mode = "compiled"
     sql = "SELECT e.ENAME FROM e IN EMP WHERE e.SAL > 900000"
     assert db.query(sql).rows == []
     db.execute("UPDATE EMP e SET SAL = 950000 WHERE e.ENAME = 'emp-007'")
@@ -367,10 +334,8 @@ def test_order_by_desc_with_nulls():
     for k, v in ((1, 10), (2, None), (3, 30), (4, None)):
         db.insert("T", {"K": k, "V": v})
     sql = "SELECT t.K FROM t IN T ORDER BY t.V DESC, t.K"
-    interp, compiled = run_both(db, sql)
-    assert compiled == interp
-    db.exec_mode = "compiled"
-    keys = [row["K"] for row in db.query(sql).rows]
+    db.use_access_paths = False
+    keys = [row["K"] for row in assert_matches_reference(db, sql).rows]
     # NULLs sort first ascending, therefore last descending; ties break
     # on the secondary ascending key
     assert keys == [3, 1, 2, 4]
@@ -392,10 +357,8 @@ def test_contains_compiles_mask_once_per_statement():
     for i in range(64):
         db.insert("T", {"K": i, "S": f"value-{i:03d}"})
     sql = "SELECT t.K FROM t IN T WHERE t.S CONTAINS 'value-0?1'"
-    for mode in ("interpreted", "compiled"):
-        db.exec_mode = mode
-        _compile_mask.cache_clear()
-        result = db.query(sql)
-        assert [row["K"] for row in result.rows] == [1, 11, 21, 31, 41, 51, 61]
-        info = _compile_mask.cache_info()
-        assert info.misses == 1, (mode, info)  # one compile, not one per row
+    _compile_mask.cache_clear()
+    result = db.query(sql)
+    assert [row["K"] for row in result.rows] == [1, 11, 21, 31, 41, 51, 61]
+    info = _compile_mask.cache_info()
+    assert info.misses == 1, info  # one compile, not one per row

@@ -14,8 +14,12 @@ import pytest
 from repro.database import Database
 from repro.datasets import DepartmentsGenerator, paper
 from repro.obs import METRICS
+from repro.query import ast
+from repro.query.parser import parse_statement
 
-TABLES = ("DEPARTMENTS", "FLAGS", "EMP")
+from tests.model.reference import reference_matches
+
+TABLES = ("DEPARTMENTS", "FLAGS", "EMP", "DOCS")
 
 #: a department with a NULL budget, for IS NULL
 NULL_BUDGET = {"DNO": 500, "MGRNO": 1, "BUDGET": None, "PROJECTS": [], "EQUIP": []}
@@ -40,6 +44,10 @@ def build(access_paths: bool, mvcc: bool) -> Database:
     db.execute("CREATE TABLE EMP (ID INT, OK BOOL, NAME STRING)")
     db.execute("INSERT INTO EMP VALUES (1, TRUE, 'a'), (2, FALSE, 'b'), (3, TRUE, 'c')")
     db.create_index("E_ID", "EMP", "ID")
+    db.execute("CREATE TABLE DOCS (ID INT, AUTHORS LIST OF (NAME STRING))")
+    db.execute("INSERT INTO DOCS VALUES (1, <('Jones'), ('Adams')>), (2, <('Chen')>)")
+    db.insert("DOCS", {"ID": 3, "AUTHORS": []})
+    db.create_index("D_ID", "DOCS", "ID")
     db.use_access_paths = access_paths
     return db
 
@@ -89,6 +97,30 @@ STATEMENTS = [
     ),
     shape("UPDATE EMP e SET NAME = 'z' WHERE e.ID = 2", True, "flat-eq"),
     shape("DELETE FROM EMP e WHERE e.ID >= 2", True, "flat-range"),
+    shape(
+        "UPDATE DEPARTMENTS x SET BUDGET = 5 "
+        "WHERE x.BUDGET >= 300000 AND ALL v IN x.EQUIP v.QU < 3",
+        True,
+        "all-quantifier",
+    ),
+    shape("DELETE FROM DOCS d WHERE d.AUTHORS[2].NAME = 'Adams'", False, "subscript"),
+    shape(
+        "UPDATE DEPARTMENTS x SET MGRNO = 8 WHERE SUM(x.EQUIP.QU) > 7",
+        False,
+        "aggregate",
+    ),
+    shape(
+        "UPDATE DEPARTMENTS x SET BUDGET = 4 "
+        "WHERE NOT (x.DNO = 314 OR x.BUDGET IS NULL)",
+        False,
+        "not-or",
+    ),
+    shape(
+        "DELETE FROM DEPARTMENTS x "
+        "WHERE COUNT((SELECT y.PNO FROM y IN x.PROJECTS WHERE y.PNO > 20)) > 0",
+        False,
+        "count-subquery",
+    ),
     # partial DML (the shapes of tests/test_partial_dml.py)
     shape(
         "INSERT INTO y.MEMBERS FROM x IN DEPARTMENTS, y IN x.PROJECTS "
@@ -155,6 +187,12 @@ STATEMENTS = [
         True,
         "sub-delete-bool-literal",
     ),
+    shape(
+        "UPDATE a FROM d IN DOCS, a IN d.AUTHORS SET NAME = d.AUTHORS[1].NAME "
+        "WHERE d.ID = 1",
+        True,
+        "sub-update-outer-path",
+    ),
 ]
 
 
@@ -171,11 +209,18 @@ def run(db: Database, sql: str, mode: str):
 @pytest.mark.parametrize("mode", ["plain", "2pl", "mvcc"])
 @pytest.mark.parametrize("sql, indexed", STATEMENTS)
 def test_index_and_scan_write_the_same_rows(sql, indexed, mode):
+    root = isinstance(
+        parse_statement(sql), (ast.UpdateStatement, ast.DeleteStatement)
+    )
     outcomes = []
     for access_paths in (True, False):
         db = build(access_paths, mvcc=mode == "mvcc")
         try:
+            # a root statement affects the rows its WHERE selects
+            expected = reference_matches(db, sql) if root else None
             count = run(db, sql, mode)
+            if root:
+                assert count == expected
             if access_paths:
                 # the index twin really planned through an index
                 assert (db.last_plan is not None) == indexed

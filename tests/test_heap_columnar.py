@@ -4,9 +4,10 @@
 executor's columnar loop reads each run of same-page TIDs under one pin and
 decodes the records straight from the frame with a decoder built once per
 attribute layout, decoding only the attributes the statement references.
-The contract: results byte-identical to the interpreted (row-at-a-time)
-engine on every flat-table shape, and the paper's page-access unit — one
-logical read per heap page — for a scan.
+The contract: the same rows, in the same order, as the plain-Python
+reference evaluator (``tests/model/reference.py``) on every flat-table
+shape, and the paper's page-access unit — one logical read per heap page
+— for a scan.
 """
 
 import datetime
@@ -16,6 +17,8 @@ import pytest
 from repro.database import Database
 from repro.obs import METRICS
 from repro.storage.constants import FLAG_CHAIN, FLAG_FORWARD, PAGE_SIZE
+
+from tests.model.reference import assert_matches_reference
 
 DDL = "CREATE TABLE T (I INT, S STRING, F FLOAT, B BOOL, D DATE)"
 COLUMNS = ("I", "S", "F", "B", "D")
@@ -53,18 +56,12 @@ def _table(rows=40, **kwargs) -> Database:
     return db
 
 
-def _canonical(result) -> list:
-    return [row.canonical() for row in result.rows]
-
-
 def assert_parity(db: Database, queries=QUERIES) -> None:
-    """Every query: compiled (columnar) rows == interpreted rows, values
-    and order; the compiled run really took the columnar path."""
+    """Every query: the columnar rows equal the reference's, values and
+    order; the run really took the columnar path."""
+    db.use_access_paths = False  # a scan: row order is compared too
     for sql in queries:
-        db.exec_mode = "interpreted"
-        expected = _canonical(db.query(sql))
-        db.exec_mode = "compiled"
-        assert _canonical(db.query(sql)) == expected, sql
+        assert_matches_reference(db, sql)
         assert db._executor.exec_report.columnar_chunks > 0, sql
 
 
@@ -128,7 +125,6 @@ def test_parity_chained_records_longer_than_a_page():
     db.execute(f"UPDATE T t SET S = '{'w' * (PAGE_SIZE * 2)}' WHERE t.I = 7")
     assert FLAG_CHAIN in _record_flags(db)
     assert_parity(db)
-    db.exec_mode = "compiled"
     lengths = {
         row["I"]: len(row["S"])
         for row in db.query("SELECT t.I, t.S FROM t IN T WHERE t.I = 7 OR t.I = 500").rows
@@ -148,7 +144,6 @@ def test_parity_deleted_and_reused_slots():
 
 def test_parity_after_alter_add():
     db = _table(rows=30)
-    db.exec_mode = "compiled"
     db.query("SELECT t.I, t.S FROM t IN T")  # a compiled plan on the old layout
     db.execute("ALTER TABLE T ADD NOTE STRING")
     db.insert("T", {**_row(99), "NOTE": "added"})
@@ -184,7 +179,6 @@ def test_fetch_columns_prunes_to_needed_attributes():
 
 def test_plan_reads_only_referenced_columns():
     db = _table(rows=5)
-    db.exec_mode = "compiled"
     seen = []
     original = db.scan_chunks
 
@@ -220,7 +214,6 @@ def _scan_counts(db: Database, sql: str) -> tuple[int, float, int]:
 @pytest.mark.parametrize("rows", [1, 255, 256, 257, 800, 2400])
 def test_scan_reads_each_heap_page_once(rows):
     db = _table(rows=rows)
-    db.exec_mode = "compiled"
     pages = db.catalog.table("T").heap.segment.page_count
     assert pages == _page_runs(db)
     reads, fetches, emitted = _scan_counts(db, "SELECT t.I, t.F FROM t IN T WHERE t.I >= 0")
@@ -233,7 +226,6 @@ def test_scan_reads_one_page_per_run_after_slot_reuse():
     db = _table(rows=300)
     db.execute("DELETE FROM T t WHERE t.I < 50")
     db.insert_many("T", [_row(2000 + n) for n in range(150)])
-    db.exec_mode = "compiled"
     runs = _page_runs(db)
     assert runs > db.catalog.table("T").heap.segment.page_count
     reads, fetches, _ = _scan_counts(db, "SELECT t.I FROM t IN T")
@@ -244,7 +236,6 @@ def test_forward_stub_costs_its_home_and_remote_reads():
     db = _table(rows=80)
     db.execute(f"UPDATE T t SET S = '{'x' * 1500}' WHERE t.I = 3")
     assert FLAG_FORWARD in _record_flags(db)
-    db.exec_mode = "compiled"
     runs = _page_runs(db)
     reads, fetches, _ = _scan_counts(db, "SELECT t.S FROM t IN T")
     # the run pins the home page once; the stub is then re-read and followed

@@ -9,6 +9,8 @@ from repro.database import Database
 from repro.datasets import DepartmentsGenerator, paper
 from repro.index.addresses import AddressingMode
 
+from tests.model.reference import reference_query
+
 
 def indexed_paper_db():
     db = Database()
@@ -101,10 +103,9 @@ def test_all_quantifier_not_restricted_by_lookup():
 # ---------------------------------------------------------------------------
 
 
-def abc_db(exec_mode: str) -> Database:
+def abc_db() -> Database:
     """Three flat tables, NULL-free; only ``B.BK`` is indexed."""
     db = Database()
-    db.exec_mode = exec_mode
     db.execute("CREATE TABLE A (AK INT, AV INT)")
     db.execute("CREATE TABLE B (BK INT, BJ INT)")
     db.execute("CREATE TABLE C (CK INT)")
@@ -142,11 +143,14 @@ def _sorted_rows(table) -> list:
     return sorted(tuple(sorted(r.to_plain().items())) for r in table.rows)
 
 
-@pytest.mark.parametrize("exec_mode", ["compiled", "interpreted"])
+@pytest.mark.parametrize("oracle", ["compiled", "interpreted"])
 @pytest.mark.parametrize("shape", sorted(JOIN_SHAPES))
-def test_explain_agrees_with_execution_on_join_probes(shape, exec_mode):
+def test_explain_agrees_with_execution_on_join_probes(shape, oracle):
+    """EXPLAIN predicts the probes; the probed rows equal the oracle's:
+    the engine's own scan twin (``compiled``) or the reference
+    interpreter of ``tests/model`` (``interpreted``)."""
     query, probes = JOIN_SHAPES[shape]
-    db = abc_db(exec_mode)
+    db = abc_db()
     predicted = "index nested loops (B_BK)" in db.execute(f"EXPLAIN {query}")
     analyzed = db.execute(f"EXPLAIN ANALYZE {query}")
     lookups = int(re.search(r"join lookups: (\d+)", analyzed).group(1))
@@ -154,10 +158,13 @@ def test_explain_agrees_with_execution_on_join_probes(shape, exec_mode):
     assert ("index nested loops (B_BK)" in analyzed) == probes
 
     with_index = _sorted_rows(db.query(query))
+    assert with_index  # every shape joins something on this data
+    if oracle == "interpreted":
+        assert _sorted_rows(reference_query(db, query)) == with_index
+        return
     db.use_access_paths = False
     assert "index nested loops" not in db.execute(f"EXPLAIN {query}")
     assert _sorted_rows(db.query(query)) == with_index
-    assert with_index  # every shape joins something on this data
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +246,7 @@ def test_join_probes_without_a_session(inner):
     rows = _sorted_rows(db.query(JOIN))
     assert hits
     assert rows == _scan(db, db.query)
+    assert rows == _sorted_rows(reference_query(db, JOIN))
     assert len(rows) == 8  # every REF (k % 5) has one partner
 
 
