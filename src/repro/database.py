@@ -2061,64 +2061,6 @@ class Database:
         return _Transaction(self)
 
     # ======================================================================
-    # Storage reporting
-    # ======================================================================
-
-    def storage_report(self) -> dict:
-        """Per-table storage statistics: pages, fill factor, and — for NF2
-        tables — the MD/data page split and subtuple accounting."""
-        from repro.storage.constants import PAGE_SIZE
-
-        tables = {}
-        for entry in self.catalog.tables():
-            pages = entry.segment.pages
-            used = 0
-            for page_no in pages:
-                used += PAGE_SIZE - entry.segment.free_space_on(page_no)
-            report: dict = {
-                "kind": "1NF" if entry.is_flat else "NF2",
-                "tuples": len(entry.tids),
-                "pages": len(pages),
-                "bytes_used": used,
-                "fill_factor": (
-                    round(used / (len(pages) * PAGE_SIZE), 3) if pages else 0.0
-                ),
-            }
-            if not entry.is_flat and entry.tids:
-                manager = entry.manager
-                md_pages = data_pages = 0
-                md_subtuples = data_subtuples = 0
-                for tid in entry.tids:
-                    if entry.temporal_manager is not None:
-                        obj = entry.temporal_manager.open_current(tid, entry.schema)
-                        space = obj.space
-                    else:
-                        obj = manager.open(tid, entry.schema)  # type: ignore[union-attr]
-                        space = obj.space
-                    for page_no, is_md in zip(space.page_list, space.page_roles):
-                        if page_no is None:
-                            continue
-                        if is_md:
-                            md_pages += 1
-                        else:
-                            data_pages += 1
-                    if entry.temporal_manager is None:
-                        stats = manager.statistics(tid, entry.schema)  # type: ignore[union-attr]
-                        md_subtuples += stats["md_subtuples"]
-                        data_subtuples += stats["data_subtuples"]
-                report["md_pages"] = md_pages
-                report["data_pages"] = data_pages
-                if entry.temporal_manager is None:
-                    report["md_subtuples"] = md_subtuples
-                    report["data_subtuples"] = data_subtuples
-            tables[entry.name] = report
-        return {
-            "total_pages": self._file.page_count,
-            "buffer": self.io_stats.snapshot(),
-            "tables": tables,
-        }
-
-    # ======================================================================
     # Integrity checking
     # ======================================================================
 

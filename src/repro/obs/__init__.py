@@ -39,7 +39,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.promtext import render_prometheus
 from repro.obs.querylog import QueryLog, QueryRecord, fingerprint
-from repro.obs.slo import AlertEvent, SloEngine, SloObjective, render_health
+from repro.obs.slo import AlertEvent, SloEngine, SloObjective
 from repro.obs.timeseries import TIER_FACTORS, TimeSeriesRecorder, TsSample
 from repro.obs.trace import (
     Span,
@@ -81,7 +81,6 @@ __all__ = [
     "new_trace_id",
     "parse_trace_id",
     "profiled",
-    "render_health",
     "render_prometheus",
     "wait_event",
 ]

@@ -191,12 +191,9 @@ class ActiveSessionHistory:
         self.ticks += 1
         return added
 
-    def tail(self, n: Optional[int] = None) -> list[AshSample]:
-        """Most recent samples, oldest first (all when ``n`` is None)."""
-        samples = list(self.samples)
-        if n is not None and n >= 0:
-            samples = samples[-n:]
-        return samples
+    def tail(self) -> list[AshSample]:
+        """The retained samples, oldest first."""
+        return list(self.samples)
 
     def clear(self) -> None:
         self.samples.clear()

@@ -181,13 +181,10 @@ class QueryLog:
 
     # -- reading -------------------------------------------------------------
 
-    def tail(self, n: Optional[int] = None) -> list[QueryRecord]:
-        """Most recent records, oldest first (all when ``n`` is None)."""
+    def tail(self) -> list[QueryRecord]:
+        """The retained records, oldest first."""
         with self._lock:
-            records = list(self._ring)
-        if n is not None and n >= 0:
-            records = records[-n:]
-        return records
+            return list(self._ring)
 
     def clear(self) -> None:
         """Drop the ring and reset the lifetime counters (shell, tests)."""

@@ -439,11 +439,6 @@ class SloEngine:
             name for name, s in self._alerts.items() if s.state == FIRING
         )
 
-    def pending(self) -> list[str]:
-        return sorted(
-            name for name, s in self._alerts.items() if s.state == PENDING
-        )
-
     def slo_rows(self) -> Iterator[dict]:
         """``SYS.SLOS`` producer rows."""
         with self._latch:
@@ -495,54 +490,3 @@ class SloEngine:
                 "BURN_RATE": event.burn_rate,
                 "MESSAGE": event.message,
             }
-
-    # -- health (the probe surface) ----------------------------------------
-
-    def health(self) -> dict:
-        """Machine-readable health: ``ok`` (nothing wrong), ``pending``
-        (a breach is being debounced), or ``alerting`` (≥1 FIRING)."""
-        firing = self.firing()
-        pending = self.pending()
-        status = "alerting" if firing else ("pending" if pending else "ok")
-        out = {
-            "status": status,
-            "firing": firing,
-            "pending": pending,
-            "objectives": len(self.objectives),
-            "recorder": self._db.ts.running,
-        }
-        repl = self._db.replication
-        if repl is not None:
-            fields = repl.wal_row_fields()
-            out["role"] = fields.get("ROLE")
-            out["replica_lag"] = fields.get("REPLICA_LAG")
-        return out
-
-
-def render_health(db: "Database") -> str:
-    """The text form of :meth:`SloEngine.health` — shared by the shell's
-    ``.health`` and the server's ``HEALTH`` verb.  The first line is the
-    machine-checkable probe answer: ``health: ok`` means ready."""
-    info = db.slo.health()
-    lines = [f"health: {info['status']}"]
-    lines.append(
-        f"objectives: {info['objectives']}  "
-        f"recorder: {'running' if info['recorder'] else 'stopped'}"
-    )
-    if "role" in info:
-        lag = info.get("replica_lag")
-        lines.append(
-            f"role: {info['role']}"
-            + (f"  lag: {lag}" if lag is not None else "")
-        )
-    for name in info["firing"]:
-        state = db.slo._alerts.get(name)
-        value = (
-            "n/a"
-            if state is None or state.last_value is None
-            else f"{state.last_value:g}"
-        )
-        lines.append(f"alert: {name} FIRING (value {value})")
-    for name in info["pending"]:
-        lines.append(f"alert: {name} PENDING")
-    return "\n".join(lines) + "\n"

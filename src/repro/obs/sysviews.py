@@ -18,12 +18,15 @@ Views (query them like any table, e.g. ``FROM m IN SYS.METRICS``):
 ``SYS.LOCKS``             every lock grant and waiter in the lock manager
 ``SYS.WAL``               one row of write-ahead-log statistics, including
                           the replication role and shipped/applied batch
-                          sequence + lag (zero rows for in-memory /
-                          ``wal=False`` databases that are not replicas)
+                          sequence + lag and the last open's recovery
+                          summary (zero rows for in-memory / ``wal=False``
+                          databases that are not replicas)
 ``SYS.REPLICAS``          replication links: on a primary one row per
                           attached replica (shipped vs acked sequence,
                           lag); on a replica one row for its upstream
-``SYS.TABLES``            the user catalog: kind, cardinality, nesting depth
+``SYS.TABLES``            the user catalog: kind, cardinality, nesting depth,
+                          pages and fill factor, and for NF² tables the
+                          MD/data page split and subtuple counts
 ``SYS.INDEXES``           index definitions + cost-model statistics
 ``SYS.QUERIES``           the ring of recently finished statements, with
                           ``COUNTERS`` and ``WAITS`` subtables of
@@ -171,8 +174,10 @@ WAL_SCHEMA = table(
     atomic("COMMITS", "INT"),
     atomic("ABORTS", "INT"),
     atomic("CHECKPOINTS", "INT"),
+    atomic("SHIP_ERRORS", "INT"),           # log-shipping hook failures
     atomic("IN_TXN", "BOOL"),
     atomic("UNLOGGED_DIRTY_PAGES", "INT"),
+    atomic("LAST_RECOVERY", "STRING"),      # redo summary of the last open
     # log-shipping fields (see repro.replication / docs/REPLICATION.md)
     atomic("ROLE", "STRING"),               # standalone | primary | replica
     atomic("SHIPPED_SEQ", "INT"),           # newest commit batch shipped/seen
@@ -206,6 +211,15 @@ TABLES_SCHEMA = table(
     atomic("DEPTH", "INT"),         # nesting depth (flat = 1)
     atomic("ATTRIBUTES", "INT"),    # top-level attribute count
     atomic("INDEXES", "INT"),
+    atomic("PAGES", "INT"),         # pages of the table's segment
+    atomic("BYTES_USED", "INT"),
+    atomic("FILL_FACTOR", "FLOAT"), # BYTES_USED / page capacity
+    # NF² tables with objects only (NULL otherwise); the subtuple counts
+    # are NULL under subtuple versioning too
+    atomic("MD_PAGES", "INT"),
+    atomic("DATA_PAGES", "INT"),
+    atomic("MD_SUBTUPLES", "INT"),
+    atomic("DATA_SUBTUPLES", "INT"),
 )
 
 INDEXES_SCHEMA = table(
@@ -526,8 +540,10 @@ def _wal_rows(db: "Database") -> Iterator[dict]:
         "COMMITS": None,
         "ABORTS": None,
         "CHECKPOINTS": None,
+        "SHIP_ERRORS": None,
         "IN_TXN": None,
         "UNLOGGED_DIRTY_PAGES": None,
+        "LAST_RECOVERY": None,
         "ROLE": "standalone",
         "SHIPPED_SEQ": None,
         "APPLIED_SEQ": None,
@@ -547,9 +563,12 @@ def _wal_rows(db: "Database") -> Iterator[dict]:
             COMMITS=stats["commits"],
             ABORTS=stats["aborts"],
             CHECKPOINTS=stats["checkpoints"],
+            SHIP_ERRORS=stats["ship_errors"],
             IN_TXN=bool(stats["in_txn"]),
             UNLOGGED_DIRTY_PAGES=stats["unlogged_dirty_pages"],
         )
+    if db.last_recovery is not None:
+        row["LAST_RECOVERY"] = db.last_recovery.summary()
     if db.replication is not None:
         row.update(db.replication.wal_row_fields())
     yield row
@@ -563,8 +582,38 @@ def _replica_rows(db: "Database") -> Iterator[dict]:
         yield {**row, "CONNECTED_AT": _float(row.get("CONNECTED_AT"))}
 
 
+def _object_split(entry) -> dict:
+    """The MD/data page split and subtuple counts over an NF² table's
+    objects (NULL for flat or empty tables; the subtuple counts are NULL
+    under subtuple versioning)."""
+    split = dict.fromkeys(
+        ("MD_PAGES", "DATA_PAGES", "MD_SUBTUPLES", "DATA_SUBTUPLES")
+    )
+    if entry.is_flat or not entry.tids:
+        return split
+    temporal = entry.temporal_manager
+    md_pages = data_pages = md_subtuples = data_subtuples = 0
+    for tid in entry.tids:
+        if temporal is not None:
+            space = temporal.open_current(tid, entry.schema).space
+        else:
+            space = entry.manager.open(tid, entry.schema).space
+            stats = entry.manager.statistics(tid, entry.schema)
+            md_subtuples += stats["md_subtuples"]
+            data_subtuples += stats["data_subtuples"]
+        for page_no, is_md in zip(space.page_list, space.page_roles):
+            if page_no is not None:
+                md_pages += is_md
+                data_pages += not is_md
+    split.update(MD_PAGES=md_pages, DATA_PAGES=data_pages)
+    if temporal is None:
+        split.update(MD_SUBTUPLES=md_subtuples, DATA_SUBTUPLES=data_subtuples)
+    return split
+
+
 def _table_rows(db: "Database") -> Iterator[dict]:
     for entry in sorted(db.catalog.tables(), key=lambda e: e.name):
+        used, fill = entry.segment.usage()
         yield {
             "NAME": entry.name,
             "KIND": "flat" if entry.is_flat else "nested",
@@ -575,6 +624,10 @@ def _table_rows(db: "Database") -> Iterator[dict]:
             "DEPTH": entry.schema.depth(),
             "ATTRIBUTES": len(entry.schema.attributes),
             "INDEXES": len(entry.indexes),
+            "PAGES": len(entry.segment.pages),
+            "BYTES_USED": used,
+            "FILL_FACTOR": fill,
+            **_object_split(entry),
         }
 
 

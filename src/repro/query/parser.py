@@ -355,7 +355,12 @@ class _Parser:
         if subscript is not None:
             steps.append(ast.PathStep(name=None, subscript=subscript))
         while self.accept_punct("."):
-            name = self.expect_ident("attribute name")
+            # only an attribute name can follow '.', so a keyword is one
+            # here (SYS.QUERIES has TEXT, SYS.TABLES has VERSIONED)
+            if self.current.kind == "keyword":
+                name = self.advance().text
+            else:
+                name = self.expect_ident("attribute name")
             steps.append(ast.PathStep(name=name, subscript=self.parse_subscript()))
         return ast.Path(var=var, steps=tuple(steps))
 

@@ -80,7 +80,7 @@ from repro.concurrency.session import Session
 from repro.database import Database
 from repro.errors import ReproError
 from repro.obs import METRICS, WAITS
-from repro.shell import dot_command, execute_line
+from repro.shell import dot_command, execute_line, health_probe
 
 #: longest accepted protocol line (statements and replication acks)
 _LINE_LIMIT = 4 * 1024 * 1024
@@ -137,9 +137,7 @@ def process_statement(
     elif upper == "HEALTH":
         # the readiness probe: first line is "health: ok|pending|alerting";
         # orchestration gates replica promotion / traffic on it
-        from repro.obs.slo import render_health
-
-        out.write(render_health(db))
+        health_probe(db, out)
     elif upper == "PROMOTE":
         from repro.replication import promote
 

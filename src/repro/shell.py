@@ -1,50 +1,43 @@
-"""An interactive shell for the NF2 DBMS.
+"""An interactive shell for the NF2 DBMS:
+``python -m repro.shell [--mvcc] [database-file]``.
 
-::
+Statements end with ``;``; ``EXPLAIN ANALYZE <query>;`` prints the
+annotated plan.  The read-only dot-commands each print a canned
+``SELECT`` over one ``SYS`` view, through the same printer as any other
+statement (so they appear in ``SYS.QUERIES`` too)::
 
-    python -m repro.shell [database-file]
+    .tables              SYS.TABLES: kind, tuples, versioning, depth
+    .storage             SYS.TABLES: pages, fill factor, MD/data split
+    .indexes             SYS.INDEXES: definitions + cost statistics
+    .stats               SYS.METRICS: every series without its BUCKETS
+    .queries [N]         SYS.QUERIES: the last N statements (default 10)
+    .ash [on|off|N]      start/stop the active-session-history sampler,
+                         or SYS.ASH: its last N samples (default 10)
+    .wal                 SYS.WAL: log size, commits, fsyncs, recovery
+    .replicas            SYS.REPLICAS: attached replicas / upstream, lag
+    .locks               SYS.LOCKS: lock grants and waiters
+    .transactions        SYS.TRANSACTIONS: active MVCC snapshots
+    .health              health: ok|pending|alerting from SYS.SLOS, then
+                         SYS.SLOS and SYS.WAL role + lag (= HEALTH verb)
+    .alerts [eval]       SYS.SLOS, then SYS.ALERTS ('eval' forces an
+                         SLO evaluation first)
 
-Statements end with ``;``.  Besides the query language, the shell offers
-dot-commands::
+The other dot-commands control the engine::
 
-    .tables              list tables
     .schema NAME         show a table's DDL
-    .indexes             list indexes
-    .stats               buffer-manager counters, engine metric totals,
-                         and histogram summaries (count/avg/p95)
     .metrics [FILE]      metrics in Prometheus text format (print / export)
-    .queries [N]         recently finished statements (SYS.QUERIES tail)
     .slowlog [MS [FILE]] show/set the slow-query threshold + sink
-    .profile on|off      enable/disable observability (metrics + tracing)
+    .profile on|off      enable/disable observability (metrics + tracing;
+                         .stats then accumulates engine counters)
     .trace FILE          export the last statement trace (Chrome format)
     .trace export FILE [ID]
                          export every retained trace (or just trace ID)
                          into one Chrome file, one lane per thread
-    .ash [on|off|N]      active-session-history sampler: start/stop it,
-                         or print the last N samples (default 10)
-    .storage             per-table storage report (pages, fill, MD/data)
     .verify              consistency check (CHECK TABLE)
     .save                persist (disk-backed databases)
     .checkpoint          flush pages + truncate the write-ahead log
-    .wal                 WAL status (log size, commits, fsyncs, ...)
-    .locks               lock-manager snapshot (grants, waiters, counters)
-    .replicas            replication status (role, attached replicas, lag)
-    .transactions        MVCC snapshot registry (active snapshots, commit
-                         sequence, GC backlog; needs mvcc=True)
-    .health              SLO health summary (ok | pending | alerting +
-                         firing alerts; the shell's HEALTH probe)
-    .alerts [eval]       SLO objectives with state + recent alert
-                         transitions ('eval' forces an evaluation first)
     .help                this text
     .quit                leave
-
-``EXPLAIN ANALYZE <query>;`` works as a statement and prints the
-annotated plan; ``.profile on`` keeps the metrics registry running so
-``.stats`` accumulates engine counters across statements.
-
-All telemetry is also queryable as NF² relations through the virtual
-``SYS`` schema (``SELECT m.NAME FROM m IN SYS.METRICS``, ``SYS.QUERIES``,
-``SYS.LOCKS``, ...) — see docs/OBSERVABILITY.md.
 """
 
 from __future__ import annotations
@@ -62,14 +55,42 @@ from repro.render import render_table
 PROMPT = "nf2> "
 CONTINUATION = "...> "
 
+#: the read-only dot-commands: ';'-separated canned SELECTs over SYS views
+CANNED = {
+    ".tables": "SELECT t.NAME, t.KIND, t.TUPLES, t.VERSIONED, t.VERSIONING, "
+    "t.DEPTH, t.INDEXES FROM t IN SYS.TABLES",
+    ".storage": "SELECT t.NAME, t.TUPLES, t.PAGES, t.BYTES_USED, t.FILL_FACTOR, "
+    "t.MD_PAGES, t.DATA_PAGES, t.MD_SUBTUPLES, t.DATA_SUBTUPLES FROM t IN SYS.TABLES",
+    ".indexes": "SELECT i.NAME, i.TABLE_NAME, i.PATH, i.KIND, i.MODE, "
+    "i.ENTRY_COUNT, i.DISTINCT_KEYS, i.MAX_POSTING_LIST FROM i IN SYS.INDEXES",
+    ".stats": "SELECT m.NAME, m.KIND, m.LABELS, m.VALUE, m.COUNT, m.SUM, m.MIN, "
+    "m.MAX, m.AVG FROM m IN SYS.METRICS",
+    ".queries": "SELECT q.FINGERPRINT, q.KIND, q.LATENCY_MS, q.TUPLES, q.SESSION, "
+    "q.THREAD, q.TEXT, q.ERROR FROM q IN SYS.QUERIES",
+    ".ash": "SELECT a.SEQ, a.SESSION, a.STATE, a.STATEMENT, a.WAIT_EVENT, "
+    "a.WAIT_MS FROM a IN SYS.ASH",
+    ".wal": "SELECT w.PATH, w.SIZE_BYTES, w.BYTES_SINCE_CHECKPOINT, "
+    "w.AUTO_CHECKPOINT_BYTES, w.RECORDS_APPENDED, w.BYTES_APPENDED, w.FSYNCS, "
+    "w.COMMITS, w.ABORTS, w.CHECKPOINTS, w.SHIP_ERRORS, w.IN_TXN, "
+    "w.UNLOGGED_DIRTY_PAGES, w.ROLE, w.SHIPPED_SEQ, w.APPLIED_SEQ, "
+    "w.REPLICA_LAG, w.REPLICAS, w.LAST_RECOVERY FROM w IN SYS.WAL",
+    ".replicas": "SELECT r.ROLE, r.PEER, r.STATE, r.SHIPPED_SEQ, r.APPLIED_SEQ, "
+    "r.LAG, r.BATCHES, r.PAGES, r.BYTES FROM r IN SYS.REPLICAS",
+    ".locks": "SELECT l.TXN, l.TXN_NAME, l.LEVEL, l.RESOURCE, l.MODE, l.GRANTED "
+    "FROM l IN SYS.LOCKS",
+    ".transactions": "SELECT t.SID, t.SESSION, t.ISOLATION, t.PINNED, t.AXIS, "
+    "t.POINT, t.TXN, t.COMMITTED_LSN, t.WATERMARK, t.GC_BACKLOG, "
+    "t.LAST_WAL_LSN FROM t IN SYS.TRANSACTIONS",
+    ".alerts": "SELECT s.NAME, s.KIND, s.STATE, s.VALUE, s.BURN_RATE, s.FIRED "
+    "FROM s IN SYS.SLOS; SELECT a.SEQ, a.SLO, a.FROM_STATE, a.TO_STATE, a.VALUE, "
+    "a.MESSAGE FROM a IN SYS.ALERTS",
+    ".health": "SELECT s.NAME, s.KIND, s.STATE, s.VALUE, s.BURN_RATE "
+    "FROM s IN SYS.SLOS; SELECT w.ROLE, w.REPLICA_LAG FROM w IN SYS.WAL",
+}
 
-def execute_line(db: Database, statement: str, out=sys.stdout) -> None:
-    """Run one statement and print its outcome."""
-    try:
-        result = db.execute(statement)
-    except ReproError as exc:
-        print(f"error: {exc}", file=out)
-        return
+
+def print_result(result, out=sys.stdout) -> None:
+    """Print one statement's outcome: a table, plan text, or a count."""
     if isinstance(result, TableValue):
         print(render_table(result, title="RESULT"), file=out)
         print(f"({len(result)} tuple{'s' if len(result) != 1 else ''})", file=out)
@@ -83,24 +104,68 @@ def execute_line(db: Database, statement: str, out=sys.stdout) -> None:
         print("ok", file=out)
 
 
+def execute_line(db: Database, statement: str, out=sys.stdout, last=None) -> None:
+    """Run one statement and print its outcome; *last* keeps only a
+    query's last N rows."""
+    try:
+        result = db.execute(statement)
+    except ReproError as exc:
+        print(f"error: {exc}", file=out)
+        return
+    if last is not None and isinstance(result, TableValue):
+        del result.rows[: max(0, len(result.rows) - last)]
+    print_result(result, out)
+
+
+def health_probe(db: Database, out=sys.stdout) -> None:
+    """The readiness probe behind ``.health`` and the server's ``HEALTH``.
+    Its first line is ``health: ok|pending|alerting``, derived from
+    ``SYS.SLOS.STATE``; the ``SYS.SLOS`` rows and the ``SYS.WAL`` role and
+    replica lag follow."""
+    slos, wal = CANNED[".health"].split(";")
+    result = db.query(slos)
+    states = {row["STATE"] for row in result.rows}
+    status = "pending" if "PENDING" in states else "ok"
+    status = "alerting" if "FIRING" in states else status
+    print(f"health: {status}", file=out)
+    print_result(result, out)
+    execute_line(db, wal.strip(), out)
+
+
 def dot_command(db: Database, line: str, out=sys.stdout) -> bool:
     """Handle a dot-command; returns False when the shell should exit."""
     parts = line.split()
     # dot-commands match case-insensitively, like the language keywords
     # (.QUIT behaves exactly like .quit — on the wire too)
     command = parts[0].lower()
+    arg = parts[1].lower() if len(parts) > 1 else None
     if command in (".quit", ".exit"):
         return False
     if command == ".help":
         print(__doc__, file=out)
-    elif command == ".tables":
-        for entry in db.catalog.tables():
-            kind = "1NF" if entry.schema.is_flat else "NF2"
-            extra = f", versioned ({entry.versioning})" if entry.versioned else ""
-            print(
-                f"  {entry.name}  [{kind}, {len(entry.tids)} tuples{extra}]",
-                file=out,
-            )
+    elif command == ".health":
+        health_probe(db, out)
+    elif command == ".ash" and arg == "on":
+        db.ash.start()
+        print(f"ash sampler on (period {db.ash.period_ms:g} ms, "
+              f"keep {db.ash.samples.maxlen})", file=out)
+    elif command == ".ash" and arg == "off":
+        db.ash.stop()
+        print(f"ash sampler off ({db.ash.ticks} ticks taken)", file=out)
+    elif command in CANNED:
+        last = None
+        if command in (".queries", ".ash"):
+            if arg is not None and not arg.isdigit():
+                usage = "[on|off|N]" if command == ".ash" else "[N]"
+                print(f"usage: {command} {usage}", file=out)
+                return True
+            last = int(arg or 10)
+        if command == ".alerts" and arg == "eval":
+            events = db.slo.evaluate()
+            print(f"evaluated {len(db.slo.objectives)} objectives, "
+                  f"{len(events)} transitions", file=out)
+        for statement in CANNED[command].split(";"):
+            execute_line(db, statement.strip(), out, last=last)
     elif command == ".schema":
         if len(parts) < 2:
             print("usage: .schema TABLE", file=out)
@@ -109,45 +174,6 @@ def dot_command(db: Database, line: str, out=sys.stdout) -> bool:
                 print(schema_to_ddl(db.table_schema(parts[1])), file=out)
             except ReproError as exc:
                 print(f"error: {exc}", file=out)
-    elif command == ".indexes":
-        for entry in db.catalog.tables():
-            for name, index in entry.indexes.items():
-                path = ".".join(index.definition.attribute_path)
-                mode = getattr(index.definition, "mode", None)
-                kind = (
-                    "text"
-                    if hasattr(index, "fragment_length")
-                    else (mode.value if mode is not None else "?")
-                )
-                stats = index.stats
-                print(
-                    f"  {name} ON {entry.name} ({path})  "
-                    f"[{kind}; {stats.entry_count} entries, "
-                    f"{stats.distinct_keys} distinct keys, "
-                    f"max posting {stats.max_posting_list}]",
-                    file=out,
-                )
-    elif command == ".stats":
-        for key, value in db.io_stats.snapshot().items():
-            print(f"  {key}: {value}", file=out)
-        totals = obs.METRICS.totals()
-        if totals:
-            print("  engine counters:", file=out)
-            for name, value in totals.items():
-                print(f"    {name}: {value:g}", file=out)
-        histograms = [h for h in obs.METRICS.histograms() if h.combined()["count"]]
-        if histograms:
-            print("  histograms:", file=out)
-            for histogram in histograms:
-                summary = histogram.combined()
-                p95 = histogram.quantile(0.95)
-                p95_text = "inf" if p95 == float("inf") else f"{p95:g}"
-                print(
-                    f"    {histogram.name}: count {summary['count']}, "
-                    f"avg {summary['avg']:.3g}, min {summary['min']:g}, "
-                    f"max {summary['max']:g}, p95<={p95_text}",
-                    file=out,
-                )
     elif command == ".metrics":
         text = obs.METRICS.to_prometheus()
         if len(parts) > 1:
@@ -158,29 +184,10 @@ def dot_command(db: Database, line: str, out=sys.stdout) -> bool:
             print("no metrics recorded — try .profile on first", file=out)
         else:
             out.write(text)
-    elif command == ".queries":
-        try:
-            n = int(parts[1]) if len(parts) > 1 else 10
-        except ValueError:
-            print("usage: .queries [N]", file=out)
-            n = None
-        if n is not None:
-            records = db.query_log.tail(n)
-            if not records:
-                print("  no finished statements recorded", file=out)
-            for record in records:
-                who = record.session or record.thread_name or "-"
-                error = f"  ERROR {record.error}" if record.error else ""
-                print(
-                    f"  [{record.fingerprint}] {record.kind:<7} "
-                    f"{record.latency_ms:8.3f} ms  {record.rows:>6} rows  "
-                    f"({who})  {record.text[:60]}{error}",
-                    file=out,
-                )
     elif command == ".slowlog":
         if len(parts) > 1:
             try:
-                threshold = None if parts[1].lower() == "off" else float(parts[1])
+                threshold = None if arg == "off" else float(parts[1])
             except ValueError:
                 print("usage: .slowlog [MS|off [FILE]]", file=out)
                 threshold = False  # sentinel: bad input
@@ -192,25 +199,21 @@ def dot_command(db: Database, line: str, out=sys.stdout) -> bool:
         if db.query_log.slow_ms is None:
             print("  slow-query log off", file=out)
         else:
-            print(
-                f"  statements >= {db.query_log.slow_ms:g} ms are appended "
-                f"to {db.query_log.slow_log_path} "
-                f"({db.query_log.slow_logged} logged so far)",
-                file=out,
-            )
+            print(f"  statements >= {db.query_log.slow_ms:g} ms are appended "
+                  f"to {db.query_log.slow_log_path} "
+                  f"({db.query_log.slow_logged} logged so far)", file=out)
     elif command == ".profile":
-        mode = parts[1].lower() if len(parts) > 1 else None
-        if mode == "on":
+        if arg == "on":
             obs.enable()
             print("profiling on (metrics + tracing)", file=out)
-        elif mode == "off":
+        elif arg == "off":
             obs.disable()
             print("profiling off", file=out)
         else:
             state = "on" if obs.METRICS.enabled else "off"
             print(f"usage: .profile on|off (currently {state})", file=out)
     elif command == ".trace":
-        if len(parts) > 1 and parts[1].lower() == "export":
+        if arg == "export":
             if len(parts) < 3:
                 print("usage: .trace export FILE [TRACE_ID]", file=out)
             else:
@@ -226,75 +229,17 @@ def dot_command(db: Database, line: str, out=sys.stdout) -> bool:
                 except ValueError as exc:
                     print(f"error: {exc}", file=out)
                 else:
-                    print(
-                        f"wrote {count} trace{'s' if count != 1 else ''} to "
-                        f"{parts[2]} (load it in https://ui.perfetto.dev)",
-                        file=out,
-                    )
+                    print(f"wrote {count} trace{'s' if count != 1 else ''} to "
+                          f"{parts[2]} (load it in https://ui.perfetto.dev)", file=out)
         elif len(parts) < 2:
             print("usage: .trace FILE | .trace export FILE [TRACE_ID]", file=out)
         elif obs.TRACER.last_trace is None:
-            print(
-                "no finished trace — run a statement with .profile on first",
-                file=out,
-            )
+            print("no finished trace — run a statement with .profile on first",
+                  file=out)
         else:
             obs.TRACER.export_chrome(parts[1])
-            print(
-                f"wrote {parts[1]} (load it in chrome://tracing or "
-                "https://ui.perfetto.dev)",
-                file=out,
-            )
-    elif command == ".ash":
-        arg = parts[1].lower() if len(parts) > 1 else None
-        if arg == "on":
-            db.ash.start()
-            print(
-                f"ash sampler on (period {db.ash.period_ms:g} ms, "
-                f"keep {db.ash.samples.maxlen})",
-                file=out,
-            )
-        elif arg == "off":
-            db.ash.stop()
-            print(f"ash sampler off ({db.ash.ticks} ticks taken)", file=out)
-        else:
-            try:
-                n = int(arg) if arg is not None else 10
-            except ValueError:
-                print("usage: .ash [on|off|N]", file=out)
-                n = None
-            if n is not None:
-                samples = db.ash.tail(n)
-                if not samples:
-                    print(
-                        "  no samples — .ash on starts the sampler "
-                        "(needs active sessions)",
-                        file=out,
-                    )
-                for sample in samples:
-                    wait = (
-                        f"  waiting {sample.wait_event} {sample.wait_ms:.1f} ms"
-                        if sample.wait_event
-                        else ""
-                    )
-                    stmt = (sample.statement or "-")[:60]
-                    print(
-                        f"  [{sample.seq}] {sample.session or '-'} "
-                        f"{sample.state:<8} {stmt}{wait}",
-                        file=out,
-                    )
-    elif command == ".storage":
-        report = db.storage_report()
-        print(f"  total pages: {report['total_pages']}", file=out)
-        for name, stats in report["tables"].items():
-            extras = ""
-            if "md_pages" in stats:
-                extras = f", {stats['md_pages']} MD / {stats['data_pages']} data pages"
-            print(
-                f"  {name}: {stats['tuples']} tuples on {stats['pages']} "
-                f"pages (fill {stats['fill_factor']:.0%}{extras})",
-                file=out,
-            )
+            print(f"wrote {parts[1]} (load it in chrome://tracing or "
+                  "https://ui.perfetto.dev)", file=out)
     elif command == ".verify":
         problems = db.verify()
         if problems:
@@ -314,104 +259,6 @@ def dot_command(db: Database, line: str, out=sys.stdout) -> bool:
             print("checkpoint complete (pages flushed, log truncated)", file=out)
         except ReproError as exc:
             print(f"error: {exc}", file=out)
-    elif command == ".wal":
-        if db.wal is None:
-            print(
-                "no WAL (in-memory database or wal=False)", file=out
-            )
-        else:
-            for key, value in db.wal.stats().items():
-                print(f"  {key}: {value}", file=out)
-            if db.last_recovery is not None:
-                print(f"  last open: {db.last_recovery.summary()}", file=out)
-    elif command == ".replicas":
-        repl = db.replication
-        if repl is None:
-            print(
-                "no replication (serve with python -m repro.server; "
-                "replicas attach with --replica-of)",
-                file=out,
-            )
-        else:
-            rows = list(repl.replica_rows())
-            if not rows:
-                print(f"  role {repl.role}: no replicas attached", file=out)
-            for row in rows:
-                print(
-                    f"  [{row['ROLE']}] {row['PEER']} {row['STATE']}: "
-                    f"shipped seq {row['SHIPPED_SEQ']}, "
-                    f"applied seq {row['APPLIED_SEQ']}, "
-                    f"lag {row['LAG']} "
-                    f"({row['BATCHES']} batches, {row['PAGES']} pages, "
-                    f"{row['BYTES']} bytes)",
-                    file=out,
-                )
-    elif command == ".locks":
-        rows = db.locks.snapshot()
-        if not rows:
-            print("  no locks held or waited on", file=out)
-        for info in rows:
-            print(f"  {info.describe()}", file=out)
-        for key, value in db.locks.stats().items():
-            print(f"  {key}: {value}", file=out)
-    elif command == ".health":
-        out.write(obs.render_health(db))
-    elif command == ".alerts":
-        arg = parts[1].lower() if len(parts) > 1 else None
-        if arg == "eval":
-            events = db.slo.evaluate()
-            print(f"evaluated {len(db.slo.objectives)} objectives, "
-                  f"{len(events)} transitions", file=out)
-        if not db.slo.objectives:
-            print(
-                "  no SLO objectives (db.slo.define(...) or serve with "
-                "--monitor installs them)",
-                file=out,
-            )
-        for row in db.slo.slo_rows():
-            value = "-" if row["VALUE"] is None else f"{row['VALUE']:g}"
-            burn = (
-                ""
-                if row["BURN_RATE"] is None
-                else f"  burn {row['BURN_RATE']:.2f}x"
-            )
-            print(
-                f"  [{row['STATE']:<8}] {row['NAME']} ({row['KIND']}): "
-                f"value {value}{burn}",
-                file=out,
-            )
-        events = list(db.slo.alert_rows())
-        for event in events[-10:]:
-            print(
-                f"  #{event['SEQ']} {event['SLO']}: "
-                f"{event['FROM_STATE']} -> {event['TO_STATE']} "
-                f"— {event['MESSAGE']}",
-                file=out,
-            )
-    elif command == ".transactions":
-        if db.mvcc is None:
-            print("no MVCC (database opened without mvcc=True)", file=out)
-        else:
-            manager = db.mvcc
-            print(
-                f"  committed_lsn: {manager.committed_lsn:g}"
-                f"  watermark: {manager.watermark():g}"
-                f"  gc_backlog: {manager.gc_backlog()}"
-                f"  last_wal_lsn: {manager.last_wal_lsn}",
-                file=out,
-            )
-            snaps = sorted(manager.active_snapshots(), key=lambda s: s.sid)
-            if not snaps:
-                print("  no active snapshots", file=out)
-            for snap in snaps:
-                pinned = " pinned" if snap.pinned else ""
-                txn = f" txn={snap.txn}" if snap.txn is not None else ""
-                print(
-                    f"  [{snap.sid}] {snap.session or '?'}: "
-                    f"{snap.axis}={snap.point:g} "
-                    f"({snap.isolation}{pinned}{txn})",
-                    file=out,
-                )
     else:
         print(f"unknown command {command!r}; try .help", file=out)
     return True
@@ -431,9 +278,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     argv = [a for a in argv if a != "--mvcc"]
     path = argv[0] if argv else None
     db = Database(path=path, mvcc=mvcc)
-    where = path or "in-memory"
     mode = " (mvcc)" if mvcc else ""
-    print(f"AIM-II NF2 shell — {where} database{mode}; .help for help")
+    print(f"AIM-II NF2 shell — {path or 'in-memory'} database{mode}; .help for help")
     buffer = ""
     try:
         while True:

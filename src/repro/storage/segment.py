@@ -27,6 +27,7 @@ from repro.storage.constants import (
     FLAG_NORMAL,
     FLAG_REMOTE,
     MAX_RECORD_SIZE,
+    PAGE_SIZE,
 )
 from repro.storage.tid import TID
 
@@ -383,6 +384,13 @@ class Segment:
 
     def free_space_on(self, page_no: int) -> int:
         return self._free_map.get(page_no, 0)
+
+    def usage(self) -> tuple[int, float]:
+        """Bytes occupied on this segment's pages, and their share of the
+        pages' capacity (0.0 for a segment without pages)."""
+        used = sum(PAGE_SIZE - self.free_space_on(p) for p in self._pages)
+        capacity = len(self._pages) * PAGE_SIZE
+        return used, round(used / capacity, 3) if capacity else 0.0
 
     # -- persistence helpers ------------------------------------------------------------
 

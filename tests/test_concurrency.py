@@ -534,7 +534,7 @@ def test_server_two_clients_share_one_database():
             out = b.send("SELECT x.NAME FROM x IN T WHERE x.ID = 7")
             assert "seven" in out
             # dot-commands ride the same wire
-            assert "lock.waits" in a.send(".locks")
+            assert "GRANTED" in a.send(".locks")  # SYS.LOCKS rows
             assert "T" in b.send(".tables")
             # errors keep the connection usable
             assert a.send("SELEKT nope").startswith("error:")

@@ -532,14 +532,20 @@ def test_shell_transactions_command(capsys=None):
     from repro.shell import dot_command
 
     db = make_db()
-    out = io.StringIO()
-    dot_command(db, ".transactions", out=out)
-    assert "committed_lsn" in out.getvalue()
+    s = db.session(name="alice")
+    with s.transaction(isolation="snapshot"):
+        s.execute("SELECT t.A FROM t IN T")
+        out = io.StringIO()
+        dot_command(db, ".transactions", out=out)
+    text = out.getvalue()
+    assert "COMMITTED_LSN" in text and "GC_BACKLOG" in text
+    assert "(1 tuple)" in text and "alice" in text and "snapshot" in text
+    s.close()
     db.close()
     plain = Database()
     out = io.StringIO()
     dot_command(plain, ".transactions", out=out)
-    assert "no MVCC" in out.getvalue()
+    assert "(0 tuples)" in out.getvalue()  # no MVCC, no snapshots
     plain.close()
 
 

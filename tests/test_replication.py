@@ -10,6 +10,7 @@ failover with a subprocess primary.
 """
 
 import datetime
+import io
 import json
 import os
 import re
@@ -138,6 +139,16 @@ def test_replica_lag_is_observable(primary):
             )
 
         assert _wait_for(acked)
+        # the shell's surfaces print the same rows
+        from repro.shell import dot_command, health_probe
+
+        out = io.StringIO()
+        health_probe(replica, out)
+        assert out.getvalue().startswith("health: ok\n")
+        assert "| replica | 0 " in out.getvalue()
+        out = io.StringIO()
+        dot_command(db, ".replicas", out=out)
+        assert "downstream" in out.getvalue() and "streaming" in out.getvalue()
     finally:
         replica.close()
 
@@ -181,6 +192,12 @@ def test_replica_falls_behind_reconnects_and_catches_up(primary):
     try:
         db.execute("INSERT INTO T VALUES (1, 'before')")
         _sync(db, replica)
+        # the ack is written after the apply: wait until the primary has
+        # it, or the cut below can land mid-write as a BrokenPipeError
+        assert _wait_for(lambda: all(
+            link.acked_seq == db.replication.seq
+            for link in db.replication.links()
+        ))
         # cut the stream; the tailer waits before it reconnects, and the
         # primary keeps committing — catalog changes included
         replica.replication._tailer._sock.shutdown(socket.SHUT_RDWR)

@@ -6,7 +6,7 @@ import json
 from repro import obs
 from repro.database import Database
 from repro.datasets import paper
-from repro.shell import dot_command, execute_line, run_script
+from repro.shell import CANNED, dot_command, execute_line, run_script
 
 
 def make_db():
@@ -40,11 +40,28 @@ def test_execute_error_is_reported_not_raised():
     assert "error:" in out.getvalue()
 
 
+def run(db, line):
+    out = io.StringIO()
+    assert dot_command(db, line, out=out)
+    return out.getvalue()
+
+
+def canned(db, command):
+    """What the dot-command's canned SELECT prints when run as a statement."""
+    out = io.StringIO()
+    execute_line(db, CANNED[command], out=out)
+    return out.getvalue()
+
+
 def test_dot_tables_and_schema():
     db = make_db()
-    out = io.StringIO()
-    assert dot_command(db, ".tables", out=out)
-    assert "DEPARTMENTS" in out.getvalue() and "NF2" in out.getvalue()
+    text = run(db, ".tables")
+    assert text == canned(db, ".tables")
+    row = db.query(
+        "SELECT t.NAME, t.KIND, t.TUPLES FROM t IN SYS.TABLES"
+    ).to_plain()
+    assert row == [{"NAME": "DEPARTMENTS", "KIND": "nested", "TUPLES": 3}]
+    assert "DEPARTMENTS" in text and "nested" in text
     out = io.StringIO()
     dot_command(db, ".schema DEPARTMENTS", out=out)
     assert "CREATE TABLE DEPARTMENTS" in out.getvalue()
@@ -56,12 +73,20 @@ def test_dot_tables_and_schema():
 def test_dot_indexes_and_stats():
     db = make_db()
     db.create_index("FN", "DEPARTMENTS", "PROJECTS.MEMBERS.FUNCTION")
-    out = io.StringIO()
-    dot_command(db, ".indexes", out=out)
-    assert "FN ON DEPARTMENTS (PROJECTS.MEMBERS.FUNCTION)" in out.getvalue()
-    out = io.StringIO()
-    dot_command(db, ".stats", out=out)
-    assert "logical_reads" in out.getvalue()
+    text = run(db, ".indexes")
+    assert text == canned(db, ".indexes")
+    row = db.query(
+        "SELECT i.NAME, i.TABLE_NAME, i.PATH FROM i IN SYS.INDEXES"
+    ).to_plain()
+    assert row == [{
+        "NAME": "FN",
+        "TABLE_NAME": "DEPARTMENTS",
+        "PATH": "PROJECTS.MEMBERS.FUNCTION",
+    }]
+    assert "PROJECTS.MEMBERS.FUNCTION" in text
+    # SYS.METRICS without its BUCKETS list (empty while profiling is off)
+    text = run(db, ".stats")
+    assert "{ LABELS }" in text and "AVG" in text and "BUCKETS" not in text
 
 
 def test_dot_quit_and_unknown():
@@ -143,11 +168,10 @@ def test_dot_stats_includes_engine_counters_when_profiled():
     dot_command(db, ".profile on", out=out)
     try:
         execute_line(db, "SELECT x.DNO FROM x IN DEPARTMENTS", out=out)
-        out = io.StringIO()
-        dot_command(db, ".stats", out=out)
-        text = out.getvalue()
-        assert "engine counters:" in text
+        text = run(db, ".stats")
         assert "storage.objects_opened" in text
+        # the buffer-manager counters are SYS.METRICS series too
+        assert "buffer.logical_reads" in text
     finally:
         dot_command(db, ".profile off", out=io.StringIO())
         obs.METRICS.clear()
@@ -175,3 +199,31 @@ def test_dot_trace_requires_a_finished_trace(tmp_path):
         obs.METRICS.clear()
         obs.TRACER.traces.clear()
         obs.TRACER.last_trace = None
+
+
+def test_dot_queries_last_n():
+    db = make_db()
+    db.query_log.clear()
+    for dno in (314, 218, 417):
+        execute_line(db, f"SELECT x.DNO FROM x IN DEPARTMENTS WHERE x.DNO = {dno}",
+                     out=io.StringIO())
+    text = run(db, ".queries 2")
+    assert "(2 tuples)" in text
+    assert "x.DNO = 314" not in text
+    assert "x.DNO = 218" in text and "x.DNO = 417" in text
+    assert "(0 tuples)" in run(db, ".queries 0")
+    for bad in (".queries -1", ".queries x", ".ash -2", ".ash x"):
+        assert run(db, bad).startswith("usage:")
+
+
+def test_help_names_every_dispatched_command():
+    import re
+
+    from repro import shell
+
+    db = make_db()
+    named = set(re.findall(r"^    (\.[a-z]+)", shell.__doc__, re.MULTILINE))
+    assert set(CANNED) <= named
+    assert not dot_command(db, ".quit", out=io.StringIO())
+    for command in sorted(named - {".quit"}):
+        assert "unknown command" not in run(db, command), command

@@ -14,7 +14,7 @@ from repro.database import Database
 from repro.datasets import paper
 from repro.obs import METRICS, TRACER
 from repro.obs.metrics import MetricsRegistry, interpolated_quantile
-from repro.obs.slo import FIRING, OK, PENDING, RESOLVED, SloObjective, render_health
+from repro.obs.slo import FIRING, OK, PENDING, RESOLVED, SloObjective
 from repro.obs.timeseries import TIER_FACTORS
 
 
@@ -410,14 +410,23 @@ def test_firing_alert_visible_via_shell_dot_commands():
     out = io.StringIO()
     dot_command(db, ".health", out=out)
     text = out.getvalue()
-    assert text.startswith("health: alerting")
-    assert "p99 FIRING" in text
+    assert text.startswith("health: alerting\n")
+    assert _row_with(text, "p99", "latency", "FIRING")
     out = io.StringIO()
     dot_command(db, ".alerts", out=out)
     text = out.getvalue()
-    assert "[FIRING  ] p99 (latency)" in text
-    assert "PENDING -> FIRING" in text
+    assert _row_with(text, "p99", "latency", "FIRING")  # SYS.SLOS
+    assert _row_with(text, "p99", "PENDING", "FIRING")  # SYS.ALERTS
     db.close()
+
+
+def _row_with(text: str, *cells: str) -> bool:
+    """True when one rendered table row has all *cells*."""
+    return any(
+        all(f" {cell} " in line for cell in cells)
+        for line in text.splitlines()
+        if line.startswith("|")
+    )
 
 
 def test_firing_alert_visible_via_prometheus_scrape():
@@ -430,9 +439,29 @@ def test_firing_alert_visible_via_prometheus_scrape():
     db.close()
 
 
-def test_render_health_ok_database():
+def test_health_ok_on_fresh_database():
+    from repro.shell import dot_command
+
     db = Database()
-    assert render_health(db).startswith("health: ok")
+    out = io.StringIO()
+    dot_command(db, ".health", out=out)
+    assert out.getvalue().startswith("health: ok\n")
+    db.close()
+
+
+def test_health_pending_while_breach_debounces():
+    from repro.shell import health_probe
+
+    db = _breach_latency_db()
+    db.slo.define(
+        name="p99", kind="latency", metric="query.latency_ms",
+        quantile=0.99, ceiling=1e-9, windows=(60.0,), for_ms=60_000.0,
+    )
+    db.slo.evaluate(now=110.0)
+    assert db.slo.alert_state("p99") == PENDING
+    out = io.StringIO()
+    health_probe(db, out)
+    assert out.getvalue().startswith("health: pending\n")
     db.close()
 
 
@@ -465,7 +494,7 @@ def test_health_verb_and_alerts_over_tcp_while_workload_runs():
         with LineClient(host, port) as client:
             health = client.send("HEALTH")
             assert health.splitlines()[0] == "health: alerting"
-            assert "p99 FIRING" in health
+            assert _row_with(health, "p99", "latency", "FIRING")
             alerts = client.send(
                 "SELECT a.SLO, a.TO_STATE FROM a IN SYS.ALERTS "
                 "WHERE a.TO_STATE = 'FIRING'"

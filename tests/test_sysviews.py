@@ -6,6 +6,8 @@ thread-local tracer stack, and the locked metric mutation paths (the
 8-thread exact-total regression)."""
 
 import json
+import pathlib
+import re
 import threading
 import time
 
@@ -19,7 +21,12 @@ from repro.obs import METRICS, TRACER
 from repro.obs.metrics import LATENCY_BUCKETS_MS, MetricsRegistry
 from repro.obs.promtext import render_prometheus
 from repro.obs.querylog import QueryLog, QueryRecord, fingerprint
-from repro.obs.sysviews import SYS_VIEW_NAMES, is_sys_table, sys_view_schema
+from repro.obs.sysviews import (
+    _SCHEMAS,
+    SYS_VIEW_NAMES,
+    is_sys_table,
+    sys_view_schema,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -532,11 +539,18 @@ def test_shell_stats_queries_and_metrics(capsys):
     out = io.StringIO()
     dot_command(db, ".stats", out=out)
     text = out.getvalue()
-    assert "histograms:" in text
-    assert "query.latency_ms" in text and "p95<=" in text
+    assert "query.latency_ms" in text and "histogram" in text
+    assert "BUCKETS" not in text
+    # the p95 bound .stats leaves out is the SYS.METRICS BUCKETS list
+    rows = db.query(
+        "SELECT m.COUNT, B = (SELECT b.CUMULATIVE FROM b IN m.BUCKETS) "
+        "FROM m IN SYS.METRICS WHERE m.NAME = 'query.latency_ms'"
+    ).to_plain()
+    assert rows and all(row["COUNT"] >= 1 for row in rows)
+    assert all(row["B"][-1]["CUMULATIVE"] == row["COUNT"] for row in rows)
     out = io.StringIO()
     dot_command(db, ".queries 5", out=out)
-    assert "SELECT" in out.getvalue()
+    assert "SELECT x.DNO FROM x IN DEPARTMENTS" in out.getvalue()
     out = io.StringIO()
     dot_command(db, ".metrics", out=out)
     assert "# TYPE repro_query_latency_ms histogram" in out.getvalue()
@@ -689,3 +703,40 @@ def test_sys_query_does_not_self_deadlock():
         for _ in range(3):
             session.query("SELECT q.KIND FROM q IN SYS.QUERIES")
     assert len(db.query_log) >= 3
+
+
+# ---------------------------------------------------------------------------
+# every column selects, and the documented examples run
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "view, column",
+    [
+        (view, attribute.name)
+        for view, schema in _SCHEMAS.items()
+        for attribute in schema.attributes
+    ],
+)
+def test_every_sys_column_selects(paper_db, view, column):
+    # keyword-named columns (TEXT, VERSIONED, ...) are attribute names here
+    result = paper_db.query(f"SELECT v.{column} FROM v IN SYS.{view}")
+    assert [a.name for a in result.schema.attributes] == [column]
+
+
+def _documented_statements():
+    doc = pathlib.Path(__file__).resolve().parent.parent / "docs" / "OBSERVABILITY.md"
+    blocks = re.findall(r"```sql\n(.*?)```", doc.read_text(), re.DOTALL)
+    return [
+        statement.strip()
+        for block in blocks
+        for statement in block.split(";")
+        if statement.strip()
+    ]
+
+
+def test_documented_sys_queries_run(paper_db):
+    statements = _documented_statements()
+    assert len(statements) >= 7
+    for statement in statements:
+        paper_db.query(statement)

@@ -675,14 +675,30 @@ def test_shell_checkpoint_and_wal_commands(tmp_path):
         assert dot_command(db, line, out=out)
         return out.getvalue()
 
+    wal = (
+        "SELECT w.COMMITS, w.SIZE_BYTES, w.SHIP_ERRORS, w.LAST_RECOVERY "
+        "FROM w IN SYS.WAL"
+    )
     path = str(tmp_path / "sh.db")
     db = Database(path=path)
     db.execute("CREATE TABLE T (A INT)")
     out = run(db, ".wal")
-    assert "commits" in out and "size_bytes" in out
+    assert "COMMITS" in out and "SIZE_BYTES" in out and "(1 tuple)" in out
+    [row] = db.query(wal).to_plain()
+    assert row["COMMITS"] >= 1 and row["SIZE_BYTES"] > 0
+    assert row["SHIP_ERRORS"] == 0
+    assert row["LAST_RECOVERY"] is None  # a new file: nothing was recovered
     assert "checkpoint complete" in run(db, ".checkpoint")
     db.close()
 
+    # reopening runs recovery; its summary is a SYS.WAL column
+    db = Database(path=path)
+    [row] = db.query(wal).to_plain()
+    assert row["LAST_RECOVERY"] == db.last_recovery.summary()
+    assert row["LAST_RECOVERY"].startswith("recovery: scanned")
+    assert "recovery: scanned" in run(db, ".wal")
+    db.close()
+
     memory = Database()
-    assert "no WAL" in run(memory, ".wal")
+    assert "(0 tuples)" in run(memory, ".wal")  # no WAL, no row
     assert "error" in run(memory, ".checkpoint")
