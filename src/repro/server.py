@@ -168,12 +168,13 @@ def process_statement(
         else:
             print(chrome_trace_json(selected), file=out)
     elif upper.startswith("TRACE "):
-        # arm a trace id for this connection's next statement
-        from repro.obs import TRACER
+        # arm a trace id for this connection's next statement, which may
+        # run on another pool worker: the session keeps it
+        from repro.obs import parse_trace_id
 
         try:
-            armed = TRACER.arm_trace_id(line[len("TRACE "):])
-            print(f"trace armed {armed}", file=out)
+            session.trace_id = parse_trace_id(line[len("TRACE "):])
+            print(f"trace armed {session.trace_id}", file=out)
         except ValueError as exc:
             print(f"error: {exc}", file=out)
     elif upper == "BEGIN" or upper.startswith("BEGIN "):

@@ -267,7 +267,7 @@ class LocalAddressSpace:
 
     def _update_in_place(self, mini: MiniTID, payload: bytes, flag: int) -> None:
         tid = self.translate(mini)
-        page = self._segment.buffer.fetch(tid.page)
+        page = self._segment.buffer.fetch(tid.page, write=True)
         try:
             page.update(tid.slot, payload, flag)
             self._segment._free_map[tid.page] = page.free_space
@@ -290,7 +290,7 @@ class LocalAddressSpace:
 
     def _delete_raw(self, mini: MiniTID) -> None:
         tid = self.translate(mini)
-        page = self._segment.buffer.fetch(tid.page)
+        page = self._segment.buffer.fetch(tid.page, write=True)
         try:
             page.delete(tid.slot)
             live = page.live_records

@@ -224,7 +224,7 @@ class ComplexObjectManager:
                 data = bytes(source.buffer)
             finally:
                 buffer.unpin(page_no)
-            destination = buffer.fetch(new_page)
+            destination = buffer.fetch(new_page, write=True)
             try:
                 destination.buffer[:] = data
             finally:
@@ -237,7 +237,7 @@ class ComplexObjectManager:
         # then store the new root (same groups, new page list).
         if root_home is not None:
             _, new_root_page = root_home
-            page = buffer.fetch(new_root_page)
+            page = buffer.fetch(new_root_page, write=True)
             try:
                 page.delete(root_tid.slot)
                 self._segment._free_map[new_root_page] = page.free_space
@@ -299,7 +299,7 @@ class ComplexObjectManager:
                 new_page_list.append(None)
                 continue
             page_no = self._segment.allocate_page()
-            page = buffer.fetch(page_no)
+            page = buffer.fetch(page_no, write=True)
             try:
                 page.buffer[:] = image
                 free = page.free_space
@@ -311,7 +311,7 @@ class ComplexObjectManager:
         if bundle.root_local_page is not None:
             home = new_page_list[bundle.root_local_page]
             assert home is not None
-            page = buffer.fetch(home)
+            page = buffer.fetch(home, write=True)
             try:
                 page.delete(bundle.root_slot)
                 self._segment._free_map[home] = page.free_space

@@ -69,7 +69,7 @@ class Segment:
         """Take a fresh (or recycled) formatted page into this segment."""
         if self._free_pages:
             page_no = self._free_pages.pop()
-            page = self._buffer.fetch(page_no)
+            page = self._buffer.fetch(page_no, write=True)
             try:
                 page.format(page.buffer)
             finally:
@@ -139,7 +139,7 @@ class Segment:
         return self._insert_on(page_no, payload, flag)
 
     def _insert_on(self, page_no: int, payload: bytes, flag: int) -> TID:
-        page = self._buffer.fetch(page_no)
+        page = self._buffer.fetch(page_no, write=True)
         try:
             slot = page.insert(payload, flag)
             self._free_map[page_no] = page.free_space
@@ -333,7 +333,7 @@ class Segment:
             self._update_in_place(tid, head_tid.encode(), FLAG_FORWARD)
 
     def _update_in_place(self, tid: TID, payload: bytes, flag: int) -> None:
-        page = self._buffer.fetch(tid.page)
+        page = self._buffer.fetch(tid.page, write=True)
         try:
             page.update(tid.slot, payload, flag)
             self._free_map[tid.page] = page.free_space
@@ -353,7 +353,7 @@ class Segment:
         self._delete_raw(tid)
 
     def _delete_raw(self, tid: TID) -> None:
-        page = self._buffer.fetch(tid.page)
+        page = self._buffer.fetch(tid.page, write=True)
         try:
             page.delete(tid.slot)
             self._free_map[tid.page] = page.free_space
@@ -409,6 +409,16 @@ class Segment:
         for page_no in segment._pages:
             segment._free_map[page_no] = _usable_space(buffer, page_no)
         return segment
+
+    def mark(self) -> tuple:
+        """What :meth:`rewind` puts back: page lists, free map, journal."""
+        journal = None if self.journal is None else len(self.journal)
+        return list(self._pages), list(self._free_pages), dict(self._free_map), journal
+
+    def rewind(self, mark: tuple) -> None:
+        self._pages, self._free_pages, self._free_map, journal = mark
+        if journal is not None:
+            del self.journal[journal:]  # type: ignore[index]
 
 
 def _usable_space(buffer: BufferManager, page_no: int) -> int:

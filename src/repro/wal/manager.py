@@ -231,30 +231,29 @@ class WalManager:
                         METRICS.inc("wal.ship_errors")
         return self._bytes_since_checkpoint >= self.auto_checkpoint_bytes
 
-    def convert_abort(self) -> int:
-        """Abort the active transaction and open a successor that inherits
-        its dirty pages.
-
-        The in-memory effects of an aborted scope are either rolled back
-        (explicit transactions) or left as-is (a failed auto-commit
-        operation); in both cases the caller next re-commits the pages'
-        *current* state under the successor transaction so the durable
-        state converges with memory.  A crash before that commit makes the
-        successor a loser — recovery discards it and the disk keeps the
-        pre-transaction state (no-steal guarantees none of these pages
-        were flushed).
-        """
+    def abort(self, restored=()) -> None:
+        """Append ABORT and end the active transaction.  *restored* pages
+        are back at their logged state and need no image.  No fsync: a
+        transaction without COMMIT is a loser to recovery either way."""
         self._check_alive()
         if self._txn is None:
-            raise WalError("convert_abort outside a WAL transaction")
+            raise WalError("abort outside a WAL transaction")
         self._append(REC_ABORT, self._txn, b"")
+        with self._latch:
+            self._dirty.difference_update(restored)
+        self._txn = None
         self.aborts += 1
         if METRICS.enabled:
             METRICS.inc("wal.aborts")
-        self._txn = self._next_txn
-        self._next_txn += 1
-        self._append(REC_BEGIN, self._txn, b"")
-        return self._txn
+
+    def convert_abort(self) -> int:
+        """Abort the active transaction and open a successor that inherits
+        its dirty pages: a failed autocommit operation re-commits what
+        memory kept under it.  A crash before that commit makes the
+        successor a loser too — the disk keeps the pre-transaction state
+        (no-steal kept these pages unflushed)."""
+        self.abort()
+        return self.begin()
 
     def log_gc_watermark(self, watermark: float) -> int:
         """Record how far MVCC version GC has advanced (informational —

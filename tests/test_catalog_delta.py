@@ -152,11 +152,13 @@ def test_rollback_and_failed_statement_replay(tmp_path):
     db, checker = open_db(tmp_path)
     db.create_table(paper.DEPARTMENTS_SCHEMA)
     db.insert_many("DEPARTMENTS", paper.DEPARTMENTS_ROWS)
+    commits = checker.commits
     with pytest.raises(KeyError):
         with db.transaction():
             db.execute("DELETE FROM DEPARTMENTS x WHERE x.DNO = 314")
             db.insert("DEPARTMENTS", paper.DEPARTMENTS_ROWS[0])
             raise KeyError("roll back")
+    assert checker.commits == commits  # the abort logs ABORT alone
     # the abort path: the statement fails after its first insert, and the
     # successor transaction commits what memory kept
     db.execute("CREATE TABLE F (A INT)")
@@ -164,7 +166,31 @@ def test_rollback_and_failed_statement_replay(tmp_path):
         db.insert_many("F", [{"A": 1}, {"B": 2}])
     assert [row["A"] for row in db.iterate_table("F")] == [1]
     assert db.wal.aborts >= 2
-    checker.check("+", "-")
+    checker.check("+", "entry")
+    db.close()
+
+
+def test_replay_across_an_aborted_transaction(tmp_path):
+    """An abort that rewrote an object, freed its member pages and took
+    fresh ones logs ABORT alone; the commits after it still fold onto
+    the log's catalog exactly, page lists included."""
+    db, checker = open_db(tmp_path)
+    db.execute(NEST_DDL)
+    db.insert("NEST", {"K": 1, "KIDS": big_kids()})
+    db.insert("NEST", {"K": 2, "KIDS": big_kids(30)})
+    commits, pages = checker.commits, db._file.page_count
+    with pytest.raises(KeyError):
+        with db.transaction():
+            db.execute("DELETE z FROM x IN NEST, z IN x.KIDS WHERE x.K = 1")
+            db.insert("NEST", {"K": 3, "KIDS": big_kids(200)})
+            raise KeyError("roll back")
+    assert checker.commits == commits
+    assert db._file.page_count > pages  # the transaction took fresh pages
+    assert without_stats(replayed_catalog(db)) == without_stats(db._catalog_state())
+    db.execute("DELETE z FROM x IN NEST, z IN x.KIDS WHERE x.K = 1")
+    db.insert("NEST", {"K": 4, "KIDS": big_kids(200)})
+    checker.check("+", "a", "f")
+    assert db.verify() == []
     db.close()
 
 

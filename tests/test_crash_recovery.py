@@ -394,3 +394,66 @@ def test_torn_crash_points_actually_tear(tmp_path):
             if os.path.exists(path + suffix):
                 os.remove(path + suffix)
     assert repaired > 0, "no crash point ever produced a torn page"
+
+
+def test_crash_at_every_io_step_of_an_aborting_transaction(tmp_path):
+    """An explicit transaction rewrites an NF2 object, frees member pages
+    and takes a fresh page, then aborts.  Crashed at each I/O event from
+    open to close (torn on alternate events), the database reopens in its
+    pre-transaction state: the abort logged nothing a replay could apply."""
+    import shutil
+
+    def kids(count):
+        return [{"X": i, "TAG": "m%03d-" % i + "x" * 60} for i in range(count)]
+
+    base = str(tmp_path / "base.db")
+    db = Database(path=base)
+    db.execute(NEST_DDL)
+    db.execute("CREATE INDEX IDX_NEST_X ON NEST (KIDS.X)")
+    for key in (1, 2):
+        db.insert("NEST", {"K": key, "NOTE": "kept", "KIDS": kids(120)})
+    expected = state_of(db)
+    db.close()
+
+    def abort(db):
+        with pytest.raises(KeyError):
+            with db.transaction():
+                db.execute("UPDATE NEST x SET NOTE = 'gone' WHERE x.K = 2")
+                db.execute("DELETE z FROM x IN NEST, z IN x.KIDS WHERE x.K = 1")
+                db.insert("NEST", {"K": 3, "NOTE": "gone", "KIDS": kids(180)})
+                journal = db.catalog.table("NEST").segment.journal
+                assert {"a", "f"} <= {kind for kind, _page in journal}
+                raise KeyError("rolled back on purpose")
+
+    def run(name, clock):
+        path = str(tmp_path / name)
+        for suffix in ("", ".wal", ".catalog.json"):
+            if os.path.exists(base + suffix):
+                shutil.copyfile(base + suffix, path + suffix)
+        faulty = FaultyPagedFile(DiskPagedFile(path), clock)
+        wal_io = FaultyWalIO(path + ".wal", clock)
+        try:
+            db = Database(
+                path=path, pagedfile=faulty, wal_io=wal_io, buffer_capacity=16
+            )
+            pages = db._file.page_count
+            abort(db)
+            clock.check()
+            assert db._file.page_count > pages  # the file grew a fresh page
+            db.close()
+        except CrashPoint:
+            faulty.abandon()
+            wal_io.abandon()
+        return path
+
+    probe = CrashClock(countdown=None)
+    run("probe.db", probe)
+    assert probe.ops >= 4, probe.ops
+    for countdown in range(1, probe.ops + 1):
+        path = run(f"crash-{countdown}.db", CrashClock(countdown, torn=countdown % 2 == 0))
+        recovered = Database(path=path)
+        try:
+            assert recovered.verify() == [], countdown
+            assert state_of(recovered) == expected, countdown
+        finally:
+            recovered.close()

@@ -317,11 +317,13 @@ def test_sys_sessions_and_locks_views():
             session.execute("UPDATE DEPARTMENTS x SET BUDGET = 1 WHERE x.DNO = 314")
             locks = session.query(
                 "SELECT k.TXN_NAME, k.LEVEL, k.MODE, k.GRANTED "
-                "FROM k IN SYS.LOCKS WHERE k.LEVEL = 'table'"
+                "FROM k IN SYS.LOCKS WHERE k.LEVEL <> 'wal'"
             ).to_plain()
-            held = {(r["TXN_NAME"], r["MODE"]) for r in locks}
-            # UPDATE escalates to a table-level exclusive lock
-            assert ("watcher", "X") in held
+            held = {(r["TXN_NAME"], r["LEVEL"], r["MODE"]) for r in locks}
+            # UPDATE locks like an autocommit statement: table IX plus
+            # the updated object X
+            assert ("watcher", "table", "IX") in held
+            assert ("watcher", "object", "X") in held
             assert all(r["GRANTED"] for r in locks)
     assert db.query("SELECT s.NAME FROM s IN SYS.SESSIONS").to_plain() == []
 

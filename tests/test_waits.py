@@ -146,7 +146,8 @@ def test_blocked_statement_waits_dominate_explain_analyze():
     t2.join(timeout=10)
     plan = result["plan"]
     assert "waits:" in plan
-    assert "Lock/TableIS" in plan
+    # the scan blocks on the updated object's X, not on the table
+    assert "Lock/ObjectS" in plan
     # the blocked time is real: parse the total out of the waits line
     waits_line = next(
         l for l in plan.splitlines() if l.startswith("waits:")
@@ -155,7 +156,7 @@ def test_blocked_statement_waits_dominate_explain_analyze():
     assert blocked_ms >= 100.0
     # and the session's lifetime totals picked it up
     summary = blocked.wait_summary()
-    assert summary["Lock/TableIS"][1] >= 100.0
+    assert summary["Lock/ObjectS"][1] >= 100.0
     holder.close()
     blocked.close()
 
@@ -203,7 +204,7 @@ def test_ash_samples_a_waiting_session():
         t1.join(timeout=10)
         t2.join(timeout=10)
     assert waiting is not None, "ASH must catch the blocked session"
-    assert waiting.wait_event == "Lock/TableIS"
+    assert waiting.wait_event == "Lock/ObjectS"
     assert waiting.statement.startswith("SELECT")
     assert waiting.fingerprint is not None
     # SYS.ASH serves the same sample through the SELECT pipeline
@@ -212,7 +213,7 @@ def test_ash_samples_a_waiting_session():
         "WHERE a.STATE = 'waiting'"
     ).to_plain()
     assert any(
-        r["SESSION"] == "blocked" and r["WAIT_EVENT"] == "Lock/TableIS"
+        r["SESSION"] == "blocked" and r["WAIT_EVENT"] == "Lock/ObjectS"
         for r in rows
     )
     holder.close()
@@ -425,7 +426,7 @@ def test_querylog_records_waits_and_trace_id():
 
 
 def test_lock_wait_attributed_end_to_end_over_tcp():
-    """Two TCP sessions: A holds a table X lock, B arms a trace id and
+    """Two TCP sessions: A holds an object X lock, B arms a trace id and
     runs EXPLAIN ANALYZE into the lock.  The blocked time must show up
     (1) in B's ``waits:`` section, (2) as a waiting SYS.ASH sample, and
     (3) as a ``Lock/*`` wait span in the retained trace fetched by id
@@ -480,7 +481,9 @@ def test_lock_wait_attributed_end_to_end_over_tcp():
             assert ash_hit is not None, "no waiting ASH sample was taken"
             assert "EXPLAIN" in ash_hit["STATEMENT"]
             plan = result["plan"]
-            assert "waits:" in plan and "Lock/TableIS" in plan
+            # A's open transaction holds table IX plus the object's X,
+            # so B's scan blocks on that one object's S lock
+            assert "waits:" in plan and "Lock/ObjectS" in plan
             assert f"trace: {trace_id}" in plan
 
             # the armed trace was retained (pinned) and is queryable by id
@@ -518,6 +521,40 @@ def test_lock_wait_attributed_end_to_end_over_tcp():
             assert "traceEvents" in json.loads(b.send("TRACE EXPORT"))
             assert b.send("TRACE EXPORT nope").startswith("error")
             assert b.send("TRACE such id!").startswith("error")
+    finally:
+        server.shutdown()
+
+
+def test_armed_trace_id_follows_its_connection_across_workers():
+    """``TRACE <id>`` arms the arming connection's next statement on
+    whichever pool worker runs it, and never another connection's
+    statement that happens to run on the worker that took the verb."""
+    from repro.server import AsyncDatabaseServer, LineClient
+
+    db = make_paper_db()
+    server = AsyncDatabaseServer(db, port=0, workers=4)
+    server.serve_background()
+    host, port = server.address
+    try:
+        with LineClient(host, port) as a, LineClient(host, port) as b:
+            for n in range(40):
+                trace_id = "%016x" % (0xC0FFEE0000000000 + n)
+                assert f"trace armed {trace_id}" in a.send(f"TRACE {trace_id}")
+                b.send(f"SELECT x.DNO FROM x IN DEPARTMENTS WHERE x.DNO = {n}")
+                a.send(f"SELECT x.MGRNO FROM x IN DEPARTMENTS WHERE x.DNO = {n}")
+                traced = db.execute(
+                    "SELECT q.TEXT FROM q IN SYS.QUERIES "
+                    f"WHERE q.TRACE_ID = '{trace_id}'"
+                ).to_plain()
+                assert [r["TEXT"] for r in traced] == [
+                    f"SELECT x.MGRNO FROM x IN DEPARTMENTS WHERE x.DNO = {n}"
+                ]
+            untraced = db.execute(
+                "SELECT q.TRACE_ID FROM q IN SYS.QUERIES "
+                "WHERE q.TEXT CONTAINS '*x.DNO FROM*'"
+            ).to_plain()
+            assert len(untraced) == 40
+            assert all(r["TRACE_ID"] is None for r in untraced)
     finally:
         server.shutdown()
         db.ash.stop()
