@@ -96,12 +96,12 @@ class TableSchema:
     def has_attribute(self, name: str) -> bool:
         return any(attr.name == name for attr in self.attributes)
 
-    @property
+    # cached: storage decode and tuple validation ask for these once per
+    # (sub)object, and a frozen schema never changes them
+    @cached_property
     def attribute_names(self) -> tuple[str, ...]:
         return tuple(attr.name for attr in self.attributes)
 
-    # cached: storage decode asks for these once per (sub)object it reads,
-    # and a frozen schema never changes them
     @cached_property
     def atomic_attributes(self) -> tuple[AttributeSchema, ...]:
         return tuple(attr for attr in self.attributes if attr.is_atomic)

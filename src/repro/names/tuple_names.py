@@ -154,10 +154,11 @@ class TupleNameService:
             if subtable.md == target:
                 assert attr.table is not None
                 out = TableValue(attr.table)
-                out.rows.extend(
-                    obj.materialize_element(attr.table, child)
-                    for child in subtable.elements
-                )
+                with obj.space.reading():
+                    out.rows.extend(
+                        obj.materialize_element(attr.table, child)
+                        for child in subtable.elements
+                    )
                 return out
         raise TupleNameError(f"dangling subtable t-name {name}")
 

@@ -375,7 +375,10 @@ class AsyncDatabaseServer:
         """Accept statements as fast as the client sends them (the
         pipelining half); the responder drains the queue in order."""
         while not responder.done():
-            raw = await reader.readline()
+            try:
+                raw = await reader.readline()
+            except (ConnectionResetError, BrokenPipeError):
+                break  # a reset client has hung up, like an end of stream
             if not raw:
                 break
             line = raw.decode("utf-8", errors="replace").strip()

@@ -18,11 +18,17 @@ navigating a complex object touches no data page at all.
 Updates keep Mini TIDs stable via local forwarding: a record that outgrows
 its page leaves an ``LFORWARD`` stub (payload: Mini TID of the relocated
 body) at its home slot.
+
+Reads of a whole object go a page at a time: inside :meth:`reading`, each
+object page is pinned once and every subtuple on it is read from that
+frame, so decoding an object costs one logical read per object page, not
+one per subtuple.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from contextlib import contextmanager
+from typing import Iterator, Optional, Sequence
 
 from repro.errors import PageFullError, RecordNotFoundError, SegmentError, StorageError
 from repro.obs import METRICS
@@ -48,6 +54,10 @@ _LOCAL_CHUNK = MAX_RECORD_SIZE - MINI_TID_SIZE - 64
 DATA_POOL = False
 MD_POOL = True
 
+#: most pages one read scope keeps pinned; a pool of fewer than 64 frames
+#: gives a scope an eighth of its frames, so concurrent scopes leave room
+_SCOPE_PINS = 8
+
 
 class LocalAddressSpace:
     """Clustered, Mini-TID-addressed record storage for one complex object."""
@@ -69,6 +79,8 @@ class LocalAddressSpace:
         #: set when the page list changed (the root MD subtuple must be
         #: rewritten by the caller)
         self.page_list_dirty = False
+        #: the open read scope's pinned pages (page number -> Page), or None
+        self._pins: Optional[dict] = None
 
     # -- address translation ------------------------------------------------------
 
@@ -202,11 +214,46 @@ class LocalAddressSpace:
 
     def _read_raw(self, mini: MiniTID) -> tuple[int, bytes]:
         tid = self.translate(mini)
+        pins = self._pins
+        if pins is not None:
+            page = pins.get(tid.page)
+            if page is None:
+                page = self._pin(pins, tid.page)
+            return page.read(tid.slot)
         page = self._segment.buffer.fetch(tid.page)
         try:
             return page.read(tid.slot)
         finally:
             self._segment.buffer.unpin(tid.page)
+
+    @contextmanager
+    def reading(self) -> Iterator[None]:
+        """A read scope: while it is open, each page is pinned on its
+        first read and stays pinned, so the subtuples of one page cost one
+        logical read together.  Every pin is released at exit, also when
+        the body raises.  Scopes nest; the outermost one releases.  Only
+        for reads: freeing a page the scope holds pinned would fail."""
+        if self._pins is not None:
+            yield
+            return
+        self._pins = {}
+        try:
+            yield
+        finally:
+            pins, self._pins = self._pins, None
+            buffer = self._segment.buffer
+            for page_no in pins:
+                buffer.unpin(page_no)
+
+    def _pin(self, pins: dict, page_no: int):
+        buffer = self._segment.buffer
+        if len(pins) >= max(1, min(_SCOPE_PINS, buffer.capacity // 8)):
+            oldest = next(iter(pins))
+            del pins[oldest]
+            buffer.unpin(oldest)
+        page = buffer.fetch(page_no)
+        pins[page_no] = page
+        return page
 
     def update(self, mini: MiniTID, payload: bytes) -> None:
         """Update a subtuple; its Mini TID stays valid forever (local

@@ -140,6 +140,11 @@ class BufferManager:
         #: dirty, protected)`` at its first write, None if new to the file
         self.before_images: Optional[dict] = None
 
+    @property
+    def capacity(self) -> int:
+        """Frames in the pool."""
+        return self._capacity
+
     # -- page access -----------------------------------------------------------
 
     def fetch(self, page_no: int, write: bool = False) -> Page:

@@ -171,7 +171,8 @@ class ComplexObjectManager:
             raise StorageError(f"{root_tid} is not a root MD subtuple")
         page_list, groups, page_roles = decode_root_md(payload)
         space = LocalAddressSpace(self._segment, page_list, page_roles)
-        decoded = self._codec.decode_object(space, schema, groups)
+        with space.reading():
+            decoded = self._codec.decode_object(space, schema, groups)
         return OpenObject(self, root_tid, schema, space, decoded)
 
     def load(self, root_tid: TID, schema: TableSchema) -> TupleValue:
@@ -432,14 +433,20 @@ class OpenObject:
     def materialize_element(
         self, schema: TableSchema, element: DecodedElement
     ) -> TupleValue:
+        """The element as a value, read a page at a time."""
+        with self.space.reading():
+            return self._materialize(schema, element)
+
+    def _materialize(self, schema: TableSchema, element: DecodedElement) -> TupleValue:
         values: dict = self.read_atoms(schema, element)
         for attr, subtable in zip(schema.table_attributes, element.subtables):
             assert attr.table is not None
             inner = TableValue(attr.table)
             for child in subtable.elements:
-                inner.rows.append(self.materialize_element(attr.table, child))
+                inner.rows.append(self._materialize(attr.table, child))
             values[attr.name] = inner
-        return TupleValue(schema, values)
+        # straight from storage decode: schema-complete and type-checked
+        return TupleValue.trusted(schema, values)
 
     def materialize(self) -> TupleValue:
         return self.materialize_element(self.schema, self.decoded)

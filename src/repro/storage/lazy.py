@@ -57,8 +57,10 @@ class LazyTupleValue(TupleValue):
         subtable = obj.decoded.subtables[index]
         inner = TableValue(attr.table)
         rows = inner.rows
-        for child in subtable.elements:
-            rows.append(obj.materialize_element(attr.table, child))
+        # one read scope for the whole subtable: each page is pinned once
+        with obj.space.reading():
+            for child in subtable.elements:
+                rows.append(obj.materialize_element(attr.table, child))
         self._values[attr.name] = inner
         return inner
 

@@ -142,6 +142,9 @@ class _AsOfSpace:
     def translate(self, mini: MiniTID) -> TID:
         return self._space.translate(self._redirect.get(mini, mini))
 
+    def reading(self):
+        return self._space.reading()
+
     @property
     def pages(self):
         return self._space.pages
@@ -210,7 +213,8 @@ class TemporalObjectManager:
         if deleted != _FOREVER:
             raise TemporalError(f"object {root_tid} was deleted")
         space = LocalAddressSpace(self._segment, page_list, page_roles)
-        decoded = self._codec.decode_object(space, schema, groups)
+        with space.reading():
+            decoded = self._codec.decode_object(space, schema, groups)
         return OpenObject(self._base, root_tid, schema, space, decoded)
 
     def open_asof(self, root_tid: TID, schema: TableSchema, at: Timestamp) -> OpenObject:
@@ -227,7 +231,8 @@ class TemporalObjectManager:
                 stored = space.read(entry.stored)
                 groups_at, _offset = decode_pointer_groups(stored, 0)
                 break
-        decoded = self._codec.decode_object(asof_space, schema, groups_at)
+        with asof_space.reading():
+            decoded = self._codec.decode_object(asof_space, schema, groups_at)
         return OpenObject(self._base, root_tid, schema, asof_space, decoded)  # type: ignore[arg-type]
 
     def load(self, root_tid: TID, schema: TableSchema) -> TupleValue:

@@ -4,7 +4,9 @@ size-invariance test.
 The paper argues in counts (§4), and the counts are exact, so a claim
 that an operation's cost does not grow with the table is tested without a
 stopwatch: build DEPARTMENTS at *n* and at 8*n* objects, run the operation
-once under ``METRICS``, and compare the counters (:func:`measure`).
+once under ``METRICS``, and compare the counters (:func:`measure`).  A
+claim about one object's size compares *m* and 8*m* members per project
+instead (``MEMBERS``).
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from repro.obs import METRICS
 #: the two table sizes every contract compares
 SIZES = (32, 256)
 
+#: the two object sizes (members per project) a per-object contract compares
+MEMBERS = (3, 24)
+
 #: {memory, disk + WAL} x {plain, MVCC}
 CONFIGS = [
     pytest.param(disk, mvcc, id=f"{where}-{mode}")
@@ -26,15 +31,20 @@ CONFIGS = [
 ]
 
 
-def build(tmp_path, departments: int, disk: bool, mvcc: bool) -> Database:
-    """DEPARTMENTS with *departments* small objects and a DNO index."""
-    path = str(tmp_path / f"contract-{departments}.db") if disk else None
+def build(
+    tmp_path, departments: int, disk: bool, mvcc: bool, members: int = 3
+) -> Database:
+    """DEPARTMENTS with *departments* objects of two projects with
+    *members* members each, and a DNO index."""
+    path = (
+        str(tmp_path / f"contract-{departments}-{members}.db") if disk else None
+    )
     db = Database(path=path, mvcc=mvcc)
     db.create_table(paper.DEPARTMENTS_SCHEMA)
     rows = DepartmentsGenerator(
         departments=departments,
         projects_per_department=2,
-        members_per_project=3,
+        members_per_project=members,
         equipment_per_department=1,
     ).rows()
     db.insert_many("DEPARTMENTS", rows)
@@ -42,11 +52,13 @@ def build(tmp_path, departments: int, disk: bool, mvcc: bool) -> Database:
     return db
 
 
-def measure(tmp_path, departments: int, disk: bool, mvcc: bool, operation) -> dict:
+def measure(
+    tmp_path, departments: int, disk: bool, mvcc: bool, operation, members: int = 3
+) -> dict:
     """Run ``operation(db)`` once on a fresh database of *departments*
-    objects; return the exact counters it moved (``METRICS`` totals plus
-    ``wal.bytes``, the log bytes it appended)."""
-    db = build(tmp_path, departments, disk, mvcc)
+    objects (see :func:`build`); return the exact counters it moved
+    (``METRICS`` totals plus ``wal.bytes``, the log bytes it appended)."""
+    db = build(tmp_path, departments, disk, mvcc, members)
     try:
         wal_before = db.wal.bytes_appended if db.wal is not None else 0
         METRICS.clear()

@@ -161,6 +161,34 @@ def test_dead_client_rolls_back_and_stops(served):
         assert "affected" in client.send("INSERT INTO T VALUES (99, 'alive')")
 
 
+def test_reset_connection_is_an_end_of_stream(served, caplog):
+    """A reset while the server waits for the next line ends the stream
+    like an orderly close: the session's locks go and nothing is logged
+    as an error."""
+    db, server = served
+    host, port = server.address
+    sock = socket.create_connection((host, port), timeout=5)
+    reader = sock.makefile("r", encoding="utf-8")
+    for statement in ("BEGIN", "INSERT INTO T VALUES (1, 'ghost')"):
+        sock.sendall((statement + "\n").encode("utf-8"))
+        header = reader.readline()
+        for _ in range(int(header[1:])):
+            reader.readline()
+    assert db.locks.stats()["lock.granted"] > 0
+    # the server is parked in readline(); an abortive close resets it
+    sock.setsockopt(
+        socket.SOL_SOCKET, socket.SO_LINGER,
+        b"\x01\x00\x00\x00\x00\x00\x00\x00",
+    )
+    reader.close()
+    sock.close()
+    assert _wait_for(lambda: not db.active_sessions())
+    assert _wait_for(lambda: db.locks.stats()["lock.granted"] == 0)
+    assert db.query("SELECT t.ID FROM t IN T").to_plain() == []
+    errors = [r for r in caplog.records if r.levelname in ("ERROR", "CRITICAL")]
+    assert errors == [], [r.getMessage() for r in errors]
+
+
 # -- dot-command case ------------------------------------------------------
 
 

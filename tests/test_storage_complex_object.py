@@ -271,6 +271,26 @@ def test_large_object_spans_pages_and_roundtrips():
     assert manager.load(root, paper.DEPARTMENTS_SCHEMA) == value
 
 
+@pytest.mark.parametrize("capacity", [2, 256])
+def test_load_reads_each_object_page_once(capacity):
+    """A whole-object load costs the root read plus one logical read per
+    object page.  A pool of two frames lets a read scope keep one pin, so
+    it releases each page before pinning the next."""
+    manager = make_manager(StorageStructure.SS3, capacity)
+    gen = DepartmentsGenerator(
+        departments=1, projects_per_department=10, members_per_project=50,
+        equipment_per_department=10,
+    )
+    value = TupleValue.from_plain(paper.DEPARTMENTS_SCHEMA, gen.rows()[0])
+    root = manager.store(paper.DEPARTMENTS_SCHEMA, value)
+    pages = manager.object_pages(root)
+    buffer = manager.segment.buffer
+    buffer.stats.reset()
+    assert manager.load(root, paper.DEPARTMENTS_SCHEMA) == value
+    assert buffer.stats.logical_reads == 1 + len(pages)
+    assert buffer.pinned_pages == []
+
+
 def test_mini_tids_survive_many_structural_edits():
     """Pointer stability: the data Mini TID of member 0 stays readable
     across many inserts/deletes elsewhere in the object."""
