@@ -116,15 +116,15 @@ def main() -> None:
 
     # -- check-out: page-level copy for the workstation ------------------------------
     entry = db.catalog.table("ASSEMBLIES")
-    copy_tid = entry.manager.copy_object(tid, schema)
-    copy = entry.manager.load(copy_tid, schema)
+    copy_tid = entry.store.manager.copy_object(tid, schema)
+    copy = entry.store.manager.load(copy_tid, schema)
     print(f"\nChecked out a workstation copy at {copy_tid}; "
           f"{len(copy['SUBASSEMBLIES'])} subassemblies intact.")
     print("No D/C pointer was rewritten — only the page list differs "
           "(Mini TIDs are local).")
 
     # -- structural edit on the copy: add a part -------------------------------------
-    copy_obj = entry.manager.open(copy_tid, schema)
+    copy_obj = entry.store.manager.open(copy_tid, schema)
     copy_obj.insert_element(
         [("SUBASSEMBLIES", 3)],
         "PARTS",
@@ -135,8 +135,8 @@ def main() -> None:
             "FEATURES": [{"KIND": "bore", "TOLERANCE": 0.02}],
         },
     )
-    master_parts = len(entry.manager.load(tid, schema)["SUBASSEMBLIES"][3]["PARTS"])
-    copy_parts = len(entry.manager.load(copy_tid, schema)["SUBASSEMBLIES"][3]["PARTS"])
+    master_parts = len(entry.store.manager.load(tid, schema)["SUBASSEMBLIES"][3]["PARTS"])
+    copy_parts = len(entry.store.manager.load(copy_tid, schema)["SUBASSEMBLIES"][3]["PARTS"])
     print(f"Added part 499 to the checked-out copy: copy gripper has "
           f"{copy_parts} parts, master still has {master_parts}.")
 
@@ -145,7 +145,7 @@ def main() -> None:
     workstation = Database()
     workstation.execute(BOM_DDL)
     ws_tid = workstation.checkin("ASSEMBLIES", blob)
-    ws_copy = workstation.catalog.table("ASSEMBLIES").manager.load(ws_tid, schema)
+    ws_copy = workstation.catalog.table("ASSEMBLIES").store.manager.load(ws_tid, schema)
     print(f"\nShipped {len(blob):,} bytes to the workstation database; "
           f"rebuilt object has {len(ws_copy['SUBASSEMBLIES'])} subassemblies "
           "with every Mini TID intact (only the page list was rebuilt).")

@@ -1,9 +1,9 @@
 """The system catalog: tables, their storage, and their access paths.
 
 Each table owns a :class:`~repro.storage.segment.Segment` of the shared
-paged file.  Flat (1NF) tables store tuples in a heap (no Mini Directories
-— Section 4.1); nested tables store complex objects through a
-:class:`~repro.storage.complex_object.ComplexObjectManager`.
+paged file and one store over it (:mod:`repro.catalog.store`): a heap of
+tuples for a flat (1NF) table (no Mini Directories, Section 4.1), complex
+objects for a nested one.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from repro.index.manager import FlatIndex, NF2Index
 from repro.index.stats import IndexStatistics
 from repro.index.text import TextIndex
 from repro.model.schema import TableSchema
-from repro.storage.complex_object import ComplexObjectManager
-from repro.storage.heap import HeapFile
 from repro.storage.segment import Segment
 from repro.storage.tid import TID
 from repro.temporal.versions import VersionStore
@@ -33,10 +31,12 @@ from repro.wal.delta import DELTA_FORMAT
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from repro.catalog.store import TableStore
     from repro.mvcc.store import MvccStore
     from repro.temporal.subtuple_versions import TemporalObjectManager
 
 AnyIndex = Union[FlatIndex, NF2Index, TextIndex]
+ValueIndex = Union[FlatIndex, NF2Index]
 
 
 @dataclass
@@ -47,8 +47,6 @@ class TableEntry:
     #: temporal strategy: None, "object" (copy-on-write chains), or
     #: "subtuple" (the paper's subtuple-manager versioning)
     versioning: Optional[str] = None
-    heap: Optional[HeapFile] = None                      # flat tables
-    manager: Optional[ComplexObjectManager] = None       # nested tables
     #: subtuple-level temporal storage (versioning == "subtuple")
     temporal_manager: Optional["TemporalObjectManager"] = None
     #: current top-level tuples, in insertion (= list) order
@@ -74,10 +72,8 @@ class TableEntry:
     #: the next delta carries this entry whole: DDL touched it, or an
     #: entry-level field without a journal of its own changed
     full_delta: bool = False
-
-    @property
-    def is_flat(self) -> bool:
-        return self.heap is not None
+    #: the table's rows (set by :func:`repro.catalog.store.attach_store`)
+    store: "TableStore" = field(init=False, repr=False, compare=False)
 
     # -- the root list (every mutation goes through these) -------------------
 
@@ -116,8 +112,6 @@ class TableEntry:
         if self.schema is schema:
             return False
         self.schema = schema
-        if self.heap is not None:
-            self.heap.schema = schema
         return True
 
     # -- change journal --------------------------------------------------------
@@ -156,11 +150,8 @@ class TableEntry:
     def name(self) -> str:
         return self.schema.name
 
-    def value_indexes(self) -> list[Union[FlatIndex, NF2Index]]:
+    def value_indexes(self) -> list[ValueIndex]:
         return [i for i in self.indexes.values() if not isinstance(i, TextIndex)]
-
-    def text_indexes(self) -> list[TextIndex]:
-        return [i for i in self.indexes.values() if isinstance(i, TextIndex)]
 
     def index_stats(self) -> dict[str, "IndexStatistics"]:
         """Cost-model statistics per index (see ``index/stats.py``) — what

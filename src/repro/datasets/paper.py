@@ -316,8 +316,3 @@ def equip_1nf() -> TableValue:
 def employees_1nf() -> TableValue:
     """Table 8."""
     return TableValue.from_plain(EMPLOYEES_1NF_SCHEMA, EMPLOYEES_1NF_ROWS)
-
-
-def department_314() -> dict:
-    """The complex object the paper uses in every storage figure."""
-    return DEPARTMENTS_ROWS[0]

@@ -157,11 +157,15 @@ class NF2Index:
             # rebalance the tree underneath a lazy leaf walk
             return iter(list(self.tree.range(low, high, **kwargs)))
 
+    @property
+    def names_roots(self) -> bool:
+        """Whether an entry leads to its object's root: not under the
+        paper's first approach (DATA_TID), which is its whole problem."""
+        return self.definition.mode is not AddressingMode.DATA_TID
+
     def roots_for(self, key: Any) -> list[TID]:
-        """Distinct object roots containing *key* — only meaningful for
-        ROOT_TID and HIERARCHICAL modes (the paper's first approach cannot
-        answer this, which is its whole problem)."""
-        if self.definition.mode is AddressingMode.DATA_TID:
+        """Distinct object roots containing *key* (see :attr:`names_roots`)."""
+        if not self.names_roots:
             raise AccessPathError(
                 "data-subtuple TIDs carry no structural information; the "
                 "owning objects cannot be derived (Section 4.2)"
@@ -218,6 +222,13 @@ class FlatIndex:
             METRICS.inc("index.probes", index=self.definition.name)
         with self._latch:
             return list(self.tree.search(key))
+
+    #: a posting is the row's TID, whatever the definition's mode
+    names_roots = True
+
+    def roots_for(self, key: Any) -> list[TID]:
+        """The rows holding *key*."""
+        return self.search(key)
 
     def range(self, low: Any = None, high: Any = None, **kwargs):
         if METRICS.enabled:

@@ -66,11 +66,3 @@ class IndexStatistics:
             "distinct_keys": self.distinct_keys,
             "max_posting_list": self.max_posting_list,
         }
-
-    @classmethod
-    def from_snapshot(cls, data: dict) -> "IndexStatistics":
-        return cls(
-            entry_count=int(data.get("entry_count", 0)),
-            distinct_keys=int(data.get("distinct_keys", 0)),
-            max_posting_list=int(data.get("max_posting_list", 0)),
-        )

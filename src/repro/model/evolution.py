@@ -81,7 +81,14 @@ def drop_attribute(schema: TableSchema, path: AttrPath) -> TableSchema:
             name=target.name, attributes=remaining, ordered=target.ordered
         )
 
-    return _rebuild(schema, prefix, transform)
+    dropped = _rebuild(schema, prefix, transform)
+    if dropped.is_flat and not schema.is_flat:
+        # a table keeps its store: complex objects do not become heap rows
+        raise SchemaError(
+            f"dropping {'.'.join(path)!r} would make nested table "
+            f"{schema.name!r} flat"
+        )
+    return dropped
 
 
 def rename_attribute(

@@ -30,10 +30,6 @@ class AtomicType(enum.Enum):
             raise DataError(f"unknown atomic type: {name!r}")
         return cls(normalized)
 
-    @property
-    def python_type(self) -> type:
-        return _PYTHON_TYPES[self]
-
     def validate(self, value: object) -> object:
         """Check *value* against this type, coercing where unambiguous.
 
@@ -84,12 +80,4 @@ _ALIASES = {
     "BOOL": "BOOL",
     "BOOLEAN": "BOOL",
     "DATE": "DATE",
-}
-
-_PYTHON_TYPES = {
-    AtomicType.INT: int,
-    AtomicType.FLOAT: float,
-    AtomicType.STRING: str,
-    AtomicType.BOOL: bool,
-    AtomicType.DATE: datetime.date,
 }

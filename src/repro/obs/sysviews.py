@@ -582,41 +582,12 @@ def _replica_rows(db: "Database") -> Iterator[dict]:
         yield {**row, "CONNECTED_AT": _float(row.get("CONNECTED_AT"))}
 
 
-def _object_split(entry) -> dict:
-    """The MD/data page split and subtuple counts over an NF² table's
-    objects (NULL for flat or empty tables; the subtuple counts are NULL
-    under subtuple versioning)."""
-    split = dict.fromkeys(
-        ("MD_PAGES", "DATA_PAGES", "MD_SUBTUPLES", "DATA_SUBTUPLES")
-    )
-    if entry.is_flat or not entry.tids:
-        return split
-    temporal = entry.temporal_manager
-    md_pages = data_pages = md_subtuples = data_subtuples = 0
-    for tid in entry.tids:
-        if temporal is not None:
-            space = temporal.open_current(tid, entry.schema).space
-        else:
-            space = entry.manager.open(tid, entry.schema).space
-            stats = entry.manager.statistics(tid, entry.schema)
-            md_subtuples += stats["md_subtuples"]
-            data_subtuples += stats["data_subtuples"]
-        for page_no, is_md in zip(space.page_list, space.page_roles):
-            if page_no is not None:
-                md_pages += is_md
-                data_pages += not is_md
-    split.update(MD_PAGES=md_pages, DATA_PAGES=data_pages)
-    if temporal is None:
-        split.update(MD_SUBTUPLES=md_subtuples, DATA_SUBTUPLES=data_subtuples)
-    return split
-
-
 def _table_rows(db: "Database") -> Iterator[dict]:
     for entry in sorted(db.catalog.tables(), key=lambda e: e.name):
         used, fill = entry.segment.usage()
         yield {
             "NAME": entry.name,
-            "KIND": "flat" if entry.is_flat else "nested",
+            "KIND": "flat" if entry.schema.is_flat else "nested",
             "ORDERED": entry.schema.ordered,
             "VERSIONED": entry.versioned,
             "VERSIONING": entry.versioning,
@@ -627,12 +598,11 @@ def _table_rows(db: "Database") -> Iterator[dict]:
             "PAGES": len(entry.segment.pages),
             "BYTES_USED": used,
             "FILL_FACTOR": fill,
-            **_object_split(entry),
+            **entry.store.object_split(),
         }
 
 
 def _index_rows(db: "Database") -> Iterator[dict]:
-    from repro.index.manager import FlatIndex
     from repro.index.text import TextIndex
 
     for entry in sorted(db.catalog.tables(), key=lambda e: e.name):
@@ -641,11 +611,8 @@ def _index_rows(db: "Database") -> Iterator[dict]:
             definition = index.definition
             if isinstance(index, TextIndex):
                 kind = mode = "text"
-            elif isinstance(index, FlatIndex):
-                kind = "flat"
-                mode = definition.mode.value
             else:
-                kind = "nf2"
+                kind = "flat" if entry.schema.is_flat else "nf2"
                 mode = definition.mode.value
             stats = getattr(index, "stats", None)
             yield {

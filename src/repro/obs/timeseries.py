@@ -354,25 +354,6 @@ class TimeSeriesRecorder:
             total = moved if total is None else total + moved
         return total
 
-    def windowed_rate(
-        self,
-        name: str,
-        labels: Optional[dict] = None,
-        window_s: float = 300.0,
-        kind: str = "counter",
-        now: Optional[float] = None,
-    ) -> Optional[float]:
-        """Per-second rate across the window (delta / elapsed), summed
-        over the matching series."""
-        total = None
-        for _series, samples in self._matching(kind, name, labels):
-            newest, baseline = self._window_of(samples, window_s, now)
-            if newest is None or baseline is None or newest.ts <= baseline.ts:
-                continue
-            rate = (newest.value - baseline.value) / (newest.ts - baseline.ts)
-            total = rate if total is None else total + rate
-        return total
-
     def windowed_quantile(
         self,
         name: str,

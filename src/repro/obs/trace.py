@@ -513,13 +513,6 @@ class Tracer:
 
     # -- export --------------------------------------------------------------
 
-    def export_json(self, path: str, trace: Optional[Trace] = None) -> None:
-        trace = trace or self.last_trace
-        if trace is None:
-            raise ValueError("no finished trace to export")
-        with open(path, "w") as handle:
-            json.dump(trace.to_dict(), handle, indent=2)
-
     def export_chrome(self, path: str, trace: Optional[Trace] = None) -> None:
         trace = trace or self.last_trace
         if trace is None:

@@ -89,7 +89,7 @@ class PartialDML:
                 if index not in stored:
                     stored[index] = self._db._dml_tids(entry, where, range_.var)
                 for tid in stored[index]:
-                    row = self._db._fetch(entry, tid)
+                    row = entry.store.fetch(tid)
                     recurse(
                         index + 1,
                         {**env, range_.var: row},

@@ -37,7 +37,7 @@ from typing import Any, Iterator, Optional, Union
 
 from repro.catalog.catalog import TableEntry
 from repro.index.addresses import AddressingMode, HierarchicalAddress, address_root
-from repro.index.manager import FlatIndex, NF2Index
+from repro.index.manager import NF2Index
 from repro.index.text import TextIndex
 from repro.obs import METRICS
 from repro.query import ast
@@ -396,16 +396,12 @@ def _score_condition(
                 continue
             if index.definition.attribute_path != condition.attribute_path:
                 continue
-            hierarchical = False
-            if isinstance(index, NF2Index):
-                mode = index.definition.mode
-                if mode is AddressingMode.DATA_TID:
-                    # Unusable for object retrieval (Section 4.2, first
-                    # approach).
-                    continue
-                hierarchical = mode is AddressingMode.HIERARCHICAL
-            elif not isinstance(index, FlatIndex):
-                continue
+            if not index.names_roots:
+                continue  # unusable for object retrieval (§4.2, first approach)
+            hierarchical = (
+                isinstance(index, NF2Index)
+                and index.definition.mode is AddressingMode.HIERARCHICAL
+            )
             stats = index.stats
             estimate = (
                 stats.estimate_eq()

@@ -26,7 +26,11 @@ class HeapFile:
                 f"HeapFile stores 1NF tables only; {schema.name!r} is nested"
             )
         self._segment = segment
-        self.schema = schema
+        self._schema = schema
+
+    @property
+    def schema(self) -> TableSchema:
+        return self._schema
 
     @property
     def segment(self) -> Segment:
@@ -42,7 +46,9 @@ class HeapFile:
         # straight from storage decode: schema-complete and type-checked
         return TupleValue.trusted(self.schema, dict(zip(layout.names, values)))
 
-    def fetch(self, tid: TID) -> TupleValue:
+    def fetch(self, tid: TID, lazy: bool = False) -> TupleValue:
+        """The row at *tid*; a row is one data subtuple, so *lazy* has
+        nothing to defer."""
         if METRICS.enabled:
             METRICS.inc("storage.heap_fetches")
         return self._decode(self._segment.read_record(tid))

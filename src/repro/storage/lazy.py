@@ -11,7 +11,7 @@ access.  A query whose predicate was settled on index information alone
 never decodes the object's nested data pages.
 
 Every query read of current rows produces these
-(``Database._fetch(lazy=True)``); DML, join probes and snapshot reads
+(``ObjectStore.fetch(tid, lazy=True)``); DML, join probes and snapshot reads
 fetch eagerly.
 """
 

@@ -367,10 +367,16 @@ class SS3Codec(MiniDirectoryCodec):
         return [self._element_group(schema, element)]
 
     def decode_object(self, space, schema, root_groups):
-        (group,) = root_groups
-        return self._decode_element(space, schema, group)
+        if len(root_groups) != 1:
+            raise StorageError("SS3 root MD subtuple holds one pointer group")
+        return self._decode_element(space, schema, root_groups[0])
 
     def _decode_element(self, space, schema, group):
+        if len(group) != 1 + len(schema.table_attributes):
+            raise StorageError(
+                f"MD pointer group of {len(group)} pointers does not match "
+                f"{schema.name!r}"
+            )
         tag, data = group[0]
         _expect(tag, POINTER_D)
         element = DecodedElement(data=data, md=None)

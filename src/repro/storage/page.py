@@ -170,7 +170,10 @@ class Page:
         buffer = self.buffer
         if slot >= _U16.unpack_from(buffer, 0)[0] or slot < 0:
             raise RecordNotFoundError(f"slot {slot} out of range")
-        return _SLOT.unpack_from(buffer, PAGE_SIZE - SLOT_ENTRY_SIZE * (slot + 1))
+        position = PAGE_SIZE - SLOT_ENTRY_SIZE * (slot + 1)
+        if position < PAGE_HEADER_SIZE:
+            raise StorageError(f"slot {slot} lies outside the slot directory")
+        return _SLOT.unpack_from(buffer, position)
 
     def _set_slot_entry(self, slot: int, offset: int, length: int) -> None:
         position = self._slot_position(slot)
@@ -194,12 +197,6 @@ class Page:
     def free_space(self) -> int:
         """Total reclaimable free bytes (after a compaction)."""
         return self.contiguous_free + self._fragmented
-
-    def can_insert(self, payload_length: int) -> bool:
-        needed = payload_length + 1  # flag byte
-        if self._find_free_slot() is None:
-            needed += SLOT_ENTRY_SIZE
-        return self.free_space >= needed
 
     # -- record operations -------------------------------------------------------
 
@@ -233,6 +230,8 @@ class Page:
         offset, length = self._slot_entry(slot)
         if offset == 0:
             raise RecordNotFoundError(f"slot {slot} is empty")
+        if not offset < offset + length <= PAGE_SIZE:
+            raise StorageError(f"slot {slot} runs past the page")
         return self.buffer[offset], offset + 1, offset + length
 
     def read(self, slot: int) -> tuple[int, bytes]:

@@ -319,8 +319,15 @@ def encode_pointers(pointers: Sequence[tuple[int, MiniTID]]) -> bytes:
     return bytes(out)
 
 
+def _count_at(payload: bytes, offset: int) -> int:
+    """The u16 count at *offset*, or StorageError past the payload's end."""
+    if offset + 2 > len(payload):
+        raise StorageError("truncated MD subtuple")
+    return _U16.unpack_from(payload, offset)[0]
+
+
 def decode_pointers(payload: bytes, offset: int) -> tuple[list[tuple[int, MiniTID]], int]:
-    count = _U16.unpack_from(payload, offset)[0]
+    count = _count_at(payload, offset)
     start = offset + 2
     end = start + _POINTER.size * count
     if end > len(payload):
@@ -350,7 +357,7 @@ def encode_pointer_groups(groups: Sequence[PointerGroup]) -> bytes:
 
 
 def decode_pointer_groups(payload: bytes, offset: int) -> tuple[list[list[tuple[int, MiniTID]]], int]:
-    count = _U16.unpack_from(payload, offset)[0]
+    count = _count_at(payload, offset)
     offset += 2
     groups: list[list[tuple[int, MiniTID]]] = []
     for _ in range(count):
@@ -409,8 +416,10 @@ def decode_root_md(
     page roles)."""
     if not payload or payload[0] != KIND_ROOT:
         raise StorageError("not a root MD subtuple")
-    count = _U16.unpack_from(payload, 1)[0]
+    count = _count_at(payload, 1)
     offset = 3
+    if offset + 4 * count > len(payload):
+        raise StorageError("truncated page list")
     page_list: list[Optional[int]] = []
     page_roles: list[bool] = []
     for _ in range(count):

@@ -67,10 +67,6 @@ class RecoveryResult:
     #: last MVCC version-GC watermark logged before the crash (or None)
     gc_watermark: Optional[float] = None
 
-    @property
-    def replayed_anything(self) -> bool:
-        return self.pages_replayed > 0
-
     def summary(self) -> str:
         return (
             f"recovery: scanned {self.records_scanned} record(s), "

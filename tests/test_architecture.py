@@ -31,9 +31,15 @@ GRAPH = {
     "baselines.lorie": "storage.buffer storage.pagedfile storage.segment storage.tid",
     "catalog": "catalog.catalog",
     "catalog.catalog": (
-        "errors index.manager index.stats index.text model.schema mvcc.store"
-        " storage.complex_object storage.heap storage.segment storage.tid"
-        " temporal.subtuple_versions temporal.versions wal.delta"
+        "catalog.store errors index.manager index.stats index.text model.schema"
+        " mvcc.store storage.segment storage.tid temporal.subtuple_versions"
+        " temporal.versions wal.delta"
+    ),
+    "catalog.store": (
+        "catalog.catalog errors index.manager index.text model.schema"
+        " model.values storage.complex_object storage.heap"
+        " storage.minidirectory storage.subtuple storage.tid"
+        " temporal.subtuple_versions"
     ),
     "concurrency": "concurrency.locks concurrency.session",
     "concurrency.locks": "errors obs",
@@ -41,16 +47,16 @@ GRAPH = {
         "concurrency.locks database errors model.values obs storage.tid"
     ),
     "database": (
-        "catalog.catalog concurrency.locks concurrency.session errors"
-        " index.addresses index.manager index.text model.ddl model.evolution"
-        " model.schema model.types model.values mvcc.gc mvcc.read mvcc.snapshot"
-        " mvcc.store names.tuple_names obs obs.ash obs.metrics obs.querylog"
-        " obs.slo obs.sysviews obs.timeseries query.ast query.binder"
-        " query.compile query.dml query.executor query.parser query.planner"
-        " render storage.buffer storage.complex_object storage.constants"
-        " storage.heap storage.minidirectory storage.pagedfile storage.segment"
-        " storage.subtuple storage.tid temporal.subtuple_versions"
-        " temporal.versions wal.delta wal.manager wal.recovery"
+        "catalog.catalog catalog.store concurrency.locks concurrency.session"
+        " errors index.addresses index.manager index.text model.ddl"
+        " model.evolution model.schema model.types model.values mvcc.gc"
+        " mvcc.read mvcc.snapshot mvcc.store names.tuple_names obs obs.ash"
+        " obs.metrics obs.querylog obs.slo obs.sysviews obs.timeseries"
+        " query.ast query.binder query.compile query.dml query.executor"
+        " query.parser query.planner render storage.buffer"
+        " storage.complex_object storage.minidirectory storage.pagedfile"
+        " storage.segment storage.tid temporal.versions wal.delta wal.manager"
+        " wal.recovery"
     ),
     "datasets": "datasets.generator datasets.paper",
     "datasets.generator": "datasets.paper model.values",
@@ -96,8 +102,7 @@ GRAPH = {
     "obs.querylog": "obs.metrics",
     "obs.slo": "database obs.metrics",
     "obs.sysviews": (
-        "database index.manager index.text model.schema model.values"
-        " obs.metrics obs.trace"
+        "database index.text model.schema model.values obs.metrics obs.trace"
     ),
     "obs.timeseries": "database obs.metrics",
     "obs.trace": "obs.metrics",
@@ -232,3 +237,14 @@ def test_database_importers():
         name for name, targets in import_graph().items() if "database" in targets
     )
     assert len(importers) == 11 and "repro" in importers, importers
+
+
+def test_the_facade_does_not_dispatch_on_storage_kind():
+    """A flat table is the degenerate complex object: ``database.py``
+    calls the table's store and never asks which kind it holds."""
+    source = (SRC / "repro" / "database.py").read_text()
+    assert [
+        name
+        for name in ("is_flat", "HeapFile", "ComplexObjectManager", "FlatIndex")
+        if name in source
+    ] == []

@@ -313,7 +313,7 @@ def test_versioned_delete_keeps_history():
     entry = db.catalog.table("DEPARTMENTS")
     assert entry.version_store.roots_asof(15) == [tid]
     # the historical bytes are still readable
-    old = entry.manager.load(tid, entry.schema)
+    old = entry.store.fetch(tid)
     assert old["DNO"] == 314
 
 

@@ -66,7 +66,7 @@ def assert_parity(db: Database, queries=QUERIES) -> None:
 
 
 def _record_flags(db: Database) -> set:
-    segment = db.catalog.table("T").heap.segment
+    segment = db.catalog.table("T").store.segment
     return {segment._read_raw(tid)[0] for tid in db.catalog.table("T").tids}
 
 
@@ -168,13 +168,13 @@ def test_fetch_columns_prunes_to_needed_attributes():
     db = _table(rows=25)
     entry = db.catalog.table("T")
     tids = list(entry.tids)
-    full = entry.heap.fetch_columns(tids)
+    full = entry.store.fetch_columns(tids)
     assert list(full) == list(COLUMNS)
-    pruned = entry.heap.fetch_columns(tids, frozenset({"D", "I"}))
+    pruned = entry.store.fetch_columns(tids, frozenset({"D", "I"}))
     assert list(pruned) == ["I", "D"]  # schema order
     assert pruned == {"I": full["I"], "D": full["D"]}
-    assert entry.heap.fetch_columns(tids, frozenset()) == {}
-    assert full["S"] == [entry.heap.fetch(tid)["S"] for tid in tids]
+    assert entry.store.fetch_columns(tids, frozenset()) == {}
+    assert full["S"] == [entry.store.fetch(tid)["S"] for tid in tids]
 
 
 def test_plan_reads_only_referenced_columns():
@@ -214,7 +214,7 @@ def _scan_counts(db: Database, sql: str) -> tuple[int, float, int]:
 @pytest.mark.parametrize("rows", [1, 255, 256, 257, 800, 2400])
 def test_scan_reads_each_heap_page_once(rows):
     db = _table(rows=rows)
-    pages = db.catalog.table("T").heap.segment.page_count
+    pages = db.catalog.table("T").store.segment.page_count
     assert pages == _page_runs(db)
     reads, fetches, emitted = _scan_counts(db, "SELECT t.I, t.F FROM t IN T WHERE t.I >= 0")
     assert (reads, fetches, emitted) == (pages, rows, rows)
@@ -227,7 +227,7 @@ def test_scan_reads_one_page_per_run_after_slot_reuse():
     db.execute("DELETE FROM T t WHERE t.I < 50")
     db.insert_many("T", [_row(2000 + n) for n in range(150)])
     runs = _page_runs(db)
-    assert runs > db.catalog.table("T").heap.segment.page_count
+    assert runs > db.catalog.table("T").store.segment.page_count
     reads, fetches, _ = _scan_counts(db, "SELECT t.I FROM t IN T")
     assert (reads, fetches) == (runs, 400)
 

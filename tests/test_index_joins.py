@@ -233,7 +233,7 @@ def _scan(db: Database, run) -> list:
 def _key_of_tid(db: Database, inner: str) -> dict:
     entry = db.catalog.table("I")
     if inner == "flat":
-        return {tid: entry.heap.fetch(tid)["IK"] for tid in db.tids("I")}
+        return {tid: entry.store.fetch(tid)["IK"] for tid in db.tids("I")}
     return {
         tid: db.open_object("I", tid).materialize()["IK"] for tid in db.tids("I")
     }

@@ -159,7 +159,7 @@ def _flat_range_values(db, op, bound):
     index = entry.indexes["IA"]
     condition = IndexCondition(("A",), (), "range", (op, bound))
     return sorted(
-        entry.heap.fetch(tid)["A"] for tid in _index_hits(index, condition)
+        entry.store.fetch(tid)["A"] for tid in _index_hits(index, condition)
     )
 
 
@@ -196,7 +196,7 @@ def test_nf2_index_range_bounds(op, bound, expected):
     index = entry.indexes["BUD"]
     condition = IndexCondition(("BUDGET",), (), "range", (op, bound))
     budgets = sorted(
-        db._fetch(entry, address_root(address))["BUDGET"]
+        entry.store.fetch(address_root(address))["BUDGET"]
         for address in _index_hits(index, condition)
     )
     assert budgets == expected

@@ -227,9 +227,10 @@ def test_mvcc_abort_keeps_the_postings_of_committed_versions(monkeypatch):
     db.create_index("DN", "DEPARTMENTS", "DNO")
     committed = set(db.catalog.table("DEPARTMENTS").tids)
     deindexed = []
-    original = db._deindex
+    store = db.catalog.table("DEPARTMENTS").store
+    original = store.deindex
     monkeypatch.setattr(
-        db, "_deindex", lambda entry, tid: (deindexed.append(tid), original(entry, tid))
+        store, "deindex", lambda tid: (deindexed.append(tid), original(tid))
     )
     with pytest.raises(RuntimeError):
         with db.transaction():

@@ -77,7 +77,7 @@ def test_verify_detects_lost_heap_tuple():
     db = healthy_db()
     entry = db.catalog.table("EMPLOYEES-1NF")
     victim = entry.tids[0]
-    entry.heap.delete(victim)  # bypass the catalog
+    entry.store.delete(victim)  # bypass the catalog
     problems = db.verify("EMPLOYEES-1NF")
     assert any("failed to load" in p or "lost" in p for p in problems)
 
