@@ -16,13 +16,13 @@ edits rewrite only MD subtuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from repro.errors import RecordNotFoundError, StorageError
 from repro.model.schema import TableSchema
 from repro.obs import METRICS
 from repro.model.values import TableValue, TupleValue
-from repro.storage.address_space import LocalAddressSpace
+from repro.storage.address_space import MD_POOL, LocalAddressSpace
 from repro.storage.minidirectory import (
     DecodedElement,
     DecodedSubtable,
@@ -136,28 +136,10 @@ class ComplexObjectManager:
         subtuple."""
         space = LocalAddressSpace(self._segment)
         groups, _decoded = self._codec.store_object(space, schema, value)
-        # The root MD subtuple itself goes onto one of the object's MD
-        # pages; if it needs a fresh page, that page joins the page list
-        # (which is part of the root payload, hence the small fixpoint
-        # loop).
-        from repro.storage.address_space import MD_POOL
-
-        while True:
-            payload = encode_root_md(space.page_list, groups, space.page_roles)
-            needed = len(payload) + 5
-            target = next(
-                (
-                    p
-                    for p in space.pages_of(MD_POOL)
-                    if self._segment.free_space_on(p) >= needed
-                ),
-                None,
-            )
-            if target is None:
-                target = self._segment.allocate_page()
-                space._local_index(target, MD_POOL)
-                continue
-            return self._segment.insert_record_on(target, payload, 0)
+        return place_root(
+            self._segment, space,
+            lambda: encode_root_md(space.page_list, groups, space.page_roles),
+        )
 
     # ------------------------------------------------------------------- read
 
@@ -204,53 +186,14 @@ class ComplexObjectManager:
     # ------------------------------------------------------------- relocation
 
     def copy_object(self, root_tid: TID, schema: TableSchema) -> TID:
-        """Relocate (check out) an object at the *page level*.
+        """Relocate (check out) an object at the *page level*: a check-out
+        and check-in within this segment.
 
         Pages are copied verbatim and only the page list in the new root MD
         subtuple differs — no D or C pointer is touched, exactly the
         advantage Section 4.1 claims for Mini TIDs.
         """
-        payload = self._segment.read_record(root_tid)
-        page_list, groups, page_roles = decode_root_md(payload)
-        buffer = self._segment.buffer
-        new_page_list: list[Optional[int]] = []
-        root_home: Optional[tuple[int, int]] = None
-        for index, page_no in enumerate(page_list):
-            if page_no is None:
-                new_page_list.append(None)
-                continue
-            new_page = self._segment.allocate_page()
-            source = buffer.fetch(page_no)
-            try:
-                data = bytes(source.buffer)
-            finally:
-                buffer.unpin(page_no)
-            destination = buffer.fetch(new_page, write=True)
-            try:
-                destination.buffer[:] = data
-            finally:
-                buffer.unpin(new_page, dirty=True)
-            self._segment._free_map[new_page] = self._segment.free_space_on(page_no)
-            if page_no == root_tid.page:
-                root_home = (index, new_page)
-            new_page_list.append(new_page)
-        # Remove the stale copy of the old root record from the copied page,
-        # then store the new root (same groups, new page list).
-        if root_home is not None:
-            _, new_root_page = root_home
-            page = buffer.fetch(new_root_page, write=True)
-            try:
-                page.delete(root_tid.slot)
-                self._segment._free_map[new_root_page] = page.free_space
-            finally:
-                buffer.unpin(new_root_page, dirty=True)
-        new_payload = encode_root_md(new_page_list, groups, page_roles)
-        live_pages = [
-            p
-            for p, role in zip(new_page_list, page_roles)
-            if p is not None and role
-        ] + [p for p in new_page_list if p is not None]
-        return self._segment.insert_record(new_payload, preferred_pages=live_pages)
+        return self.import_object(self.export_object(root_tid))
 
     # -------------------------------------------------------- check-out / in
 
@@ -321,7 +264,11 @@ class ComplexObjectManager:
         groups, _offset = decode_pointer_groups(bundle.groups_blob, 0)
         payload = encode_root_md(new_page_list, groups, bundle.page_roles)
         live = [p for p in new_page_list if p is not None]
-        return self._segment.insert_record(payload, preferred_pages=live)
+        md_pages = [
+            p for p, is_md in zip(new_page_list, bundle.page_roles)
+            if p is not None and is_md
+        ]
+        return self._segment.insert_record(payload, preferred_pages=md_pages + live)
 
     # ---------------------------------------------------------------- metrics
 
@@ -528,6 +475,24 @@ class OpenObject:
         the grown page list if so."""
         if self.space.page_list_dirty:
             self._rewrite_structure()
+
+
+def place_root(
+    segment: Segment, space: LocalAddressSpace, encode: Callable[[], bytes]
+) -> TID:
+    """Insert an object's root MD subtuple, *encode()*, on one of its MD
+    pages.  A fresh page joins the page list, which the root payload
+    carries: hence the small fixpoint loop."""
+    while True:
+        payload = encode()
+        needed = len(payload) + 5
+        target = next(
+            (p for p in space.pages_of(MD_POOL) if segment.free_space_on(p) >= needed),
+            None,
+        )
+        if target is not None:
+            return segment.insert_record_on(target, payload, 0)
+        space._local_index(segment.allocate_page(), MD_POOL)
 
 
 def _delete_subtree(space: LocalAddressSpace, element: DecodedElement) -> None:

@@ -41,7 +41,12 @@ from repro.errors import StorageError, TemporalError
 from repro.model.schema import TableSchema
 from repro.model.values import TupleValue
 from repro.storage.address_space import MD_POOL, LocalAddressSpace
-from repro.storage.complex_object import ComplexObjectManager, OpenObject, SubtablePath
+from repro.storage.complex_object import (
+    ComplexObjectManager,
+    OpenObject,
+    SubtablePath,
+    place_root,
+)
 from repro.storage.minidirectory import StorageStructure, get_codec
 from repro.storage.segment import Segment
 from repro.storage.subtuple import (
@@ -178,24 +183,12 @@ class TemporalObjectManager:
         created = canonical_timestamp(at)
         space = LocalAddressSpace(self._segment)
         groups, _decoded = self._codec.store_object(space, schema, value)
-        while True:
-            payload = encode_temporal_root(
+        return place_root(
+            self._segment, space,
+            lambda: encode_temporal_root(
                 created, _FOREVER, [], space.page_list, space.page_roles, groups
-            )
-            needed = len(payload) + 5
-            target = next(
-                (
-                    p
-                    for p in space.pages_of(MD_POOL)
-                    if self._segment.free_space_on(p) >= needed
-                ),
-                None,
-            )
-            if target is None:
-                target = self._segment.allocate_page()
-                space._local_index(target, MD_POOL)
-                continue
-            return self._segment.insert_record_on(target, payload, 0)
+            ),
+        )
 
     # ------------------------------------------------------------------- read
 
